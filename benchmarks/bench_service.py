@@ -47,14 +47,14 @@ Run directly (it is a script, not a pytest-benchmark module)::
     PYTHONPATH=src python benchmarks/bench_service.py \
         --backend process --workers 4 --no-kernel-sweep --quick
 
-The script exits non-zero when the p >= 6 aggregate speedup falls below the
-3x acceptance floor, or when the numpy kernel's solve throughput on the
-solver-bound STGQ batch falls below ``NUMPY_KERNEL_FLOOR`` times the
-compiled kernel's, or when it trails the compiled kernel on the cache-hot
-radius-1 SGQ batch (``RADIUS1_KERNEL_FLOOR``) — kernel sweep enabled and
-numpy installed — so CI catches kernel regressions loudly.
-``--kernels-json PATH`` writes that kernel comparison on its own (the
-``BENCH_kernels.json`` artifact, radius-1 leg nested under ``"radius1"``).
+The script exits non-zero when the p >= 6 aggregate speedup of the
+compiled kernel over the reference kernel falls below the 3x acceptance
+floor (kernel sweep enabled), so CI catches kernel regressions loudly.
+``--kernels-json PATH`` writes the compiled kernel's single-thread solve
+throughput on the solver-bound STGQ batch and the cache-hot radius-1 SGQ
+batch (the ``BENCH_kernels.json`` artifact, radius-1 leg nested under
+``"radius1"``); ``check_baseline.py`` gates it against the committed
+baseline.
 """
 
 from __future__ import annotations
@@ -79,23 +79,11 @@ from repro.experiments.workloads import (
     pick_initiator,
     workload,
 )
-from repro.graph.packed import numpy_kernel_available
 from repro.service import QueryService, RemoteBackend, ShardMap
 from repro.service.codec import request_for
 from repro.service.net import start_local_workers
 
 SPEEDUP_FLOOR = 3.0
-#: Acceptance floor for the vectorized kernel: solve throughput on the
-#: solver-bound radius-2 STGQ batch, numpy vs compiled, single thread.
-#: Raised from 1.3 once cascade batching removed the per-node numpy
-#: dispatch overhead from forced chains (measured ~1.47x on 1 CPU).
-NUMPY_KERNEL_FLOOR = 1.35
-#: Floor for the cache-hot radius-1 SGQ batch: small egos used to be the
-#: numpy kernel's worst case (array setup swamped the solve, ~0.65x).
-#: Small-instance routing (``NUMPY_MIN_CANDIDATES``) now sends them down
-#: the bitset expansion, so the structural ratio is parity; the floor sits
-#: a hair under 1.0 purely for timer noise between the interleaved passes.
-RADIUS1_KERNEL_FLOOR = 0.97
 FIG1A = dict(radius=1, acquaintance=2, group_sizes=(3, 4, 5, 6, 7))
 HEAVY = dict(radius=2, acquaintance=2, group_sizes=(5, 6, 7))
 #: Dataset shape shared by the gateway AND any spawned remote workers —
@@ -123,12 +111,8 @@ def kernel_sweep(
     group_sizes,
     repeats: int,
 ) -> Tuple[float, float]:
-    """Run one SGQ sweep on every kernel; return aggregate tail times (ref, compiled).
-
-    The numpy column joins automatically when the interpreter has
-    numpy >= 2.0 (otherwise the sweep is the historical two-kernel table).
-    """
-    kernels = ["reference", "compiled"] + (["numpy"] if numpy_kernel_available() else [])
+    """Run one SGQ sweep on both kernels; return aggregate tail times (ref, compiled)."""
+    kernels = ("reference", "compiled")
     solvers = {
         kernel: SGSelect(dataset.graph, SearchParameters(kernel=kernel)) for kernel in kernels
     }
@@ -138,8 +122,6 @@ def kernel_sweep(
     )
     header = f"{'p':>3}" + "".join(f" {kernel:>12}" for kernel in kernels)
     header += f" {'comp-speedup':>13}"
-    if "numpy" in kernels:
-        header += f" {'np-vs-comp':>11}"
     print(header)
     totals = {kernel: 0.0 for kernel in kernels}
     tails = {kernel: 0.0 for kernel in kernels}
@@ -160,8 +142,6 @@ def kernel_sweep(
             assert results[kernel].total_distance == reference.total_distance
         row = f"{p:>3}" + "".join(f" {times[kernel] * 1000:>10.2f}ms" for kernel in kernels)
         row += f" {times['reference'] / times['compiled']:>12.1f}x"
-        if "numpy" in kernels:
-            row += f" {times['compiled'] / times['numpy']:>10.2f}x"
         print(row)
     print(
         "sweep aggregate: "
@@ -171,85 +151,46 @@ def kernel_sweep(
 
 
 def _kernel_batch_throughput(dataset, batch, passes: int) -> Dict[str, object]:
-    """Warm-cache, serial-backend throughput of one batch per kernel.
-
-    The kernels' timing passes are *interleaved* (compiled, numpy,
-    compiled, ...) rather than run as two sequential blocks: on a shared
-    1-CPU runner, frequency drift and neighbour load change over the tens
-    of seconds a block takes, and sequential blocks fold that drift
-    straight into the reported ratio.  Alternating passes expose both
-    kernels to the same conditions, so best-of-``passes`` compares like
-    with like.
-    """
-    measured: Dict[str, object] = {"queries": len(batch), "passes": passes}
-    kernels = ["compiled"] + (["numpy"] if numpy_kernel_available() else [])
-    services = {}
-    try:
-        for kernel in kernels:
-            service = QueryService(
-                dataset.graph,
-                dataset.calendars,
-                parameters=SearchParameters(kernel=kernel),
-                backend="serial",
-            )
-            service.__enter__()
-            service.solve_many(batch)  # warm the ego-network cache
-            services[kernel] = service
-        best = {kernel: float("inf") for kernel in kernels}
+    """Warm-cache, serial-backend throughput of one batch on the compiled kernel."""
+    with QueryService(
+        dataset.graph,
+        dataset.calendars,
+        parameters=SearchParameters(kernel="compiled"),
+        backend="serial",
+    ) as service:
+        service.solve_many(batch)  # warm the ego-network cache
+        best = float("inf")
         for _ in range(passes):
-            for kernel in kernels:
-                start = time.perf_counter()
-                services[kernel].solve_many(batch)
-                best[kernel] = min(best[kernel], time.perf_counter() - start)
-    finally:
-        for service in services.values():
-            service.__exit__(None, None, None)
-    for kernel in kernels:
-        qps = len(batch) / best[kernel]
-        measured[kernel] = {"wall_s": round(best[kernel], 4), "qps": round(qps, 1)}
-        print(f"{kernel:>9}: {best[kernel]:.3f}s  {qps:.1f} q/s")
-    if "numpy" in kernels:
-        ratio = measured["numpy"]["qps"] / measured["compiled"]["qps"]
-        measured["numpy_vs_compiled"] = round(ratio, 3)
-    return measured
+            start = time.perf_counter()
+            service.solve_many(batch)
+            best = min(best, time.perf_counter() - start)
+    qps = len(batch) / best
+    print(f" compiled: {best:.3f}s  {qps:.1f} q/s")
+    return {
+        "queries": len(batch),
+        "passes": passes,
+        "compiled": {"wall_s": round(best, 4), "qps": round(qps, 1)},
+    }
 
 
 def kernel_throughput(dataset, stgq_batch, quick: bool, sgq_batch=None) -> Dict[str, object]:
-    """Single-thread solve throughput of the compiled and numpy kernels.
+    """Single-thread solve throughput of the compiled kernel.
 
     Runs the solver-bound radius-2 STGQ batch through a serial-backend
-    service once per kernel (warm ego-network cache, best of several
-    passes), i.e. a pure kernel comparison with no executor in the way —
-    the measurement behind the ``BENCH_kernels.json`` artifact and the
-    numpy-vs-compiled acceptance gate (``NUMPY_KERNEL_FLOOR``).
+    service (warm ego-network cache, best of several passes), i.e. pure
+    kernel work with no executor in the way — the measurement behind the
+    ``BENCH_kernels.json`` artifact, gated against the committed baseline
+    by ``check_baseline.py``.
 
     When ``sgq_batch`` is given, a second leg times the cache-hot radius-1
-    SGQ batch — the small-ego regime where the numpy kernel historically
-    trailed the compiled one — under its own ``RADIUS1_KERNEL_FLOOR``
-    (nested in the report as ``"radius1"``).
+    SGQ batch (nested in the report as ``"radius1"``).
     """
     passes = 3 if quick else 4
     print("\n== kernel throughput: solver-bound radius-2 STGQ batch (serial backend) ==")
     measured = _kernel_batch_throughput(dataset, stgq_batch, passes)
-    measured["numpy_available"] = numpy_kernel_available()
-    measured["floor"] = NUMPY_KERNEL_FLOOR
-    if "numpy_vs_compiled" in measured:
-        print(
-            f"numpy vs compiled: {measured['numpy_vs_compiled']:.2f}x "
-            f"(floor {NUMPY_KERNEL_FLOOR:.2f}x, single-thread)"
-        )
-    else:
-        print("numpy >= 2.0 not installed; kernel gate not applicable")
     if sgq_batch is not None:
         print("\n== kernel throughput: cache-hot radius-1 SGQ batch (serial backend) ==")
-        radius1 = _kernel_batch_throughput(dataset, sgq_batch, passes)
-        radius1["floor"] = RADIUS1_KERNEL_FLOOR
-        measured["radius1"] = radius1
-        if "numpy_vs_compiled" in radius1:
-            print(
-                f"numpy vs compiled (radius 1): {radius1['numpy_vs_compiled']:.2f}x "
-                f"(floor {RADIUS1_KERNEL_FLOOR:.2f}x, single-thread)"
-            )
+        measured["radius1"] = _kernel_batch_throughput(dataset, sgq_batch, passes)
     return measured
 
 
@@ -509,8 +450,9 @@ def main(argv=None) -> int:
         "--kernels-json",
         metavar="PATH",
         default=None,
-        help="write the kernel-throughput comparison (compiled vs numpy on "
-        "the solver-bound STGQ batch) as JSON to PATH (BENCH_kernels.json)",
+        help="write the compiled kernel's solve throughput on the "
+        "solver-bound STGQ and cache-hot SGQ batches as JSON to PATH "
+        "(BENCH_kernels.json)",
     )
     parser.add_argument(
         "--kernel-sweep",
@@ -593,21 +535,14 @@ def main(argv=None) -> int:
         batches = build_batches(dataset, args.quick, args.seed, skew=args.skew)
 
     if args.kernels_json:
-        # The kernel-comparison artifact is an acceptance gate: asking for
-        # it in a configuration that cannot produce the numpy-vs-compiled
-        # ratio must fail loudly, not silently skip the gate.
+        # The kernel artifact feeds a regression gate: asking for it in a
+        # configuration that cannot produce both legs must fail loudly, not
+        # silently write a partial baseline.
         if not args.kernel_sweep or "stgq" not in batches or "sgq" not in batches:
             print(
                 "FAIL: --kernels-json needs the kernel sweep and the synthetic "
                 "sgq + stgq batches (do not combine with --no-kernel-sweep or "
                 "--replay)",
-                file=sys.stderr,
-            )
-            return 1
-        if not numpy_kernel_available():
-            print(
-                "FAIL: --kernels-json requires numpy >= 2.0 (the [speed] extra) "
-                "to measure the vectorized kernel",
                 file=sys.stderr,
             )
             return 1
@@ -799,24 +734,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if kernels_report is not None and "numpy_vs_compiled" in kernels_report:
-        ratio = kernels_report["numpy_vs_compiled"]
-        if ratio < NUMPY_KERNEL_FLOOR:
-            print(
-                f"FAIL: numpy kernel at {ratio:.2f}x compiled throughput, "
-                f"below the {NUMPY_KERNEL_FLOOR:.2f}x floor",
-                file=sys.stderr,
-            )
-            return 1
-        radius1 = kernels_report.get("radius1", {})
-        if "numpy_vs_compiled" in radius1 and radius1["numpy_vs_compiled"] < RADIUS1_KERNEL_FLOOR:
-            print(
-                f"FAIL: numpy kernel at {radius1['numpy_vs_compiled']:.2f}x compiled "
-                f"throughput on the radius-1 SGQ batch, below the "
-                f"{RADIUS1_KERNEL_FLOOR:.2f}x floor",
-                file=sys.stderr,
-            )
-            return 1
     if "http" in report:
         http_report = report["http"]
         broken = sum(

@@ -9,13 +9,7 @@ import functools
 
 import pytest
 
-from repro.graph import (
-    bounded_distances,
-    compile_feasible_graph,
-    csr_available,
-    extract_feasible_graph,
-)
-from repro.graph.packed import numpy_kernel_available, pack_adjacency
+from repro.graph import bounded_distances, csr_available, extract_feasible_graph
 from repro.temporal.pivot import feasible_members_for_pivot, pivot_windows
 
 from .conftest import ROUNDS, dataset_for_size, initiator_for
@@ -42,30 +36,6 @@ def test_feasible_graph_extraction(benchmark, real_dataset, real_initiator, radi
     )
     benchmark.extra_info["radius"] = radius
     benchmark.extra_info["candidates"] = len(feasible) - 1
-
-
-@pytest.mark.benchmark(group="substrate-graph")
-@pytest.mark.skipif(not numpy_kernel_available(), reason="needs numpy >= 2.0")
-def test_pack_adjacency(benchmark, real_dataset, real_initiator):
-    """Cost of deriving the numpy kernel's packed matrix (paid on cache miss)."""
-    feasible = extract_feasible_graph(real_dataset.graph, real_initiator, 2)
-    compiled = compile_feasible_graph(feasible)
-    packed = benchmark.pedantic(lambda: pack_adjacency(compiled), **ROUNDS)
-    benchmark.extra_info["ids"] = packed.n
-    benchmark.extra_info["words"] = packed.words
-
-
-@pytest.mark.benchmark(group="substrate-graph")
-@pytest.mark.skipif(not numpy_kernel_available(), reason="needs numpy >= 2.0")
-def test_packed_intersect_counts(benchmark, real_dataset, real_initiator):
-    """The numpy kernel's workhorse reduction: whole-pool AND + popcount."""
-    feasible = extract_feasible_graph(real_dataset.graph, real_initiator, 2)
-    compiled = compile_feasible_graph(feasible)
-    packed = pack_adjacency(compiled)
-    row = packed.row(compiled.candidate_mask)
-    counts = benchmark.pedantic(lambda: packed.intersect_counts(row), **ROUNDS)
-    benchmark.extra_info["ids"] = packed.n
-    benchmark.extra_info["total_degree"] = int(counts.sum())
 
 
 @pytest.mark.benchmark(group="substrate-temporal")

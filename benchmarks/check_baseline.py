@@ -5,7 +5,7 @@ from ``bench_service.py --kernels-json``, ``BENCH_substrates.json`` from
 ``bench_substrate_scale.py --json``) as baselines.  This script turns them
 into a gate: given a baseline file and a fresh run of the same benchmark,
 it walks both JSON trees, pairs up every *throughput-like* numeric leaf
-(higher is better: ``qps``, ``per_sec``, and the ``numpy_vs_compiled``
+(higher is better: ``qps``, ``per_sec``, and the ``csr_vs_dict``
 speedup ratio), and fails when any fresh value dropped more than
 ``--max-drop`` (default 20%) below its baseline.
 
@@ -35,7 +35,7 @@ from typing import Dict, Iterator, Tuple
 
 #: JSON keys whose numeric values mean "higher is better".  Everything else
 #: (counts, seconds, environment facts) is not gated.
-THROUGHPUT_KEYS = ("qps", "per_sec", "numpy_vs_compiled", "csr_vs_dict")
+THROUGHPUT_KEYS = ("qps", "per_sec", "csr_vs_dict")
 
 
 def iter_throughput_leaves(tree: object, prefix: str = "") -> Iterator[Tuple[str, float]]:

@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--kernel",
             choices=list(VALID_KERNELS),
             default="compiled",
-            help="branch-and-bound kernel (default compiled; 'numpy' needs "
-            "the [speed] extra and falls back to compiled without it)",
+            help="branch-and-bound kernel (default compiled; reference is the "
+            "slow executable specification)",
         )
 
     def add_traffic_arguments(sub: argparse.ArgumentParser) -> None:

@@ -19,19 +19,11 @@ adjust when no candidate qualifies.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
-
-try:  # numpy is optional (the [speed] extra); the packed helpers need it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
+from typing import Iterable, Optional, Sequence
 
 from ..graph.social_graph import SocialGraph
 from ..temporal.slots import SlotRange
 from ..types import Vertex
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..graph.packed import PackedAdjacency
 
 __all__ = [
     "interior_unfamiliarity",
@@ -41,8 +33,6 @@ __all__ = [
     "exterior_expansibility_condition",
     "temporal_extensibility_condition",
     "candidate_measures_bitset",
-    "unfamiliarity_measures_packed",
-    "expansibility_member_terms",
 ]
 
 
@@ -146,77 +136,6 @@ def candidate_measures_bitset(
         if value < best:
             best = value
     return worst, best
-
-
-def unfamiliarity_measures_packed(
-    packed: "PackedAdjacency",
-    member_ids: Sequence[int],
-    strangers: Sequence[int],
-    members_mask: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """``U(VS ∪ {u})`` for *every* id ``u`` at once (numpy kernel).
-
-    Whole-pool counterpart of the unfamiliarity half of
-    :func:`candidate_measures_bitset`: one ``bitwise_count`` reduction gives
-    every candidate's stranger count inside ``VS``, and one elementwise-max
-    pass per member folds in the members' one-step deltas
-    (``strangers[v] + 1 - adj(u, v)``).  Entries at ids inside ``VS`` are
-    meaningless (a member is never a candidate) — callers only index the
-    result at ids from the remaining pool.
-
-    Both returned arrays depend only on ``VS``, so one evaluation serves a
-    search node for its whole lifetime (the remaining pool may shrink, the
-    member set cannot).
-
-    Returns
-    -------
-    (cand_strangers, unfamiliarity):
-        Per-id ``|VS - N_u|`` and per-id ``U(VS ∪ {u})``.
-    """
-    overlap = packed.intersect_counts(packed.row(members_mask))
-    cand_strangers = len(member_ids) - overlap
-    member_term: Optional[np.ndarray] = None
-    for v in member_ids:
-        term = strangers[v] + 1 - packed.column(v)
-        member_term = term if member_term is None else np.maximum(member_term, term)
-    # member_ids always contains the initiator, so member_term is set.
-    return cand_strangers, np.maximum(cand_strangers, member_term)
-
-
-def expansibility_member_terms(
-    base_counts: "np.ndarray",
-    member_ids: Sequence[int],
-    strangers: Sequence[int],
-    acquaintance: int,
-    adj: Sequence[int],
-    pending_mask: int = 0,
-) -> "list[int]":
-    """The member side of ``A(VS ∪ {u})``, one small int list for the pool.
-
-    Rests on the identity that makes this side pool-invariant: for a member
-    ``v`` and *any* candidate ``u`` still in the pool,
-    ``|(VA - {u}) ∩ N_v| + (k - |VS ∪ {u} - {v} - N_v|)`` collapses to
-    ``|VA ∩ N_v| + k - strangers[v] - 1`` — the adjacency bit ``adj(u, v)``
-    cancels between the neighbour count and the stranger delta.  The full
-    measure is then ``A(VS ∪ {u}) = min(min(terms), |VA ∩ N_u| + k -
-    |VS - N_u|)`` (no self-loops, so dropping ``u`` from ``VA`` never
-    changes ``|VA ∩ N_u|``) — a pure scalar computation per candidate.
-
-    ``base_counts`` holds ``|VA₀ ∩ N_i|`` for a *base* pool ``VA₀``;
-    ``pending_mask`` lists the ids removed from ``VA₀`` since (the numpy
-    kernels batch removals this way instead of touching the array), so the
-    current count for a member ``v`` is ``base_counts[v] - |pending ∩
-    N_v|``.  The terms align with ``member_ids``; the kernels keep them
-    current across further removals with plain int updates
-    (``terms[j] -= adj(c, member_ids[j])``).
-    """
-    terms = []
-    for v in member_ids:
-        term = int(base_counts[v]) + acquaintance - strangers[v] - 1
-        if pending_mask:
-            term -= (pending_mask & adj[v]).bit_count()
-        terms.append(term)
-    return terms
 
 
 def temporal_extensibility(shared_slots: Optional[SlotRange], activity_length: int) -> int:

@@ -13,11 +13,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Optional, Sequence
 
-try:  # numpy is optional (the [speed] extra); the packed helpers need it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
 from ..graph.social_graph import SocialGraph
 from ..temporal.calendars import CalendarStore
 from ..temporal.pivot import PivotWindow
@@ -30,7 +25,6 @@ __all__ = [
     "distance_pruning_bitset",
     "acquaintance_pruning_bitset",
     "availability_pruning_bitset",
-    "acquaintance_pruning_packed",
 ]
 
 
@@ -177,35 +171,6 @@ def acquaintance_pruning_bitset(
             min_inner = inner
         mask ^= low
     upper_bound = total_inner - not_chosen * (min_inner or 0)
-    return upper_bound < required
-
-
-def acquaintance_pruning_packed(
-    remaining_counts: "np.ndarray",
-    remaining_indicator: "np.ndarray",
-    remaining_count: int,
-    members_count: int,
-    group_size: int,
-    acquaintance: int,
-) -> bool:
-    """Packed counterpart of :func:`acquaintance_pruning_bitset` (Lemma 3).
-
-    ``remaining_counts[i]`` must hold ``|VA ∩ N_i|`` for every id (one
-    whole-pool ``bitwise_count`` reduction) and ``remaining_indicator`` the
-    boolean membership of VA, so the per-candidate inner-degree loop of the
-    bitset version becomes a vectorized sum/min over the selected entries.
-    """
-    needed = group_size - members_count
-    if needed <= 0:
-        return False
-    required = needed * (needed - 1 - acquaintance)
-    if required <= 0 or not remaining_count:
-        return False
-    not_chosen = remaining_count - needed
-    if not_chosen < 0:
-        return False
-    inner = remaining_counts[remaining_indicator]
-    upper_bound = int(inner.sum()) - not_chosen * int(inner.min())
     return upper_bound < required
 
 

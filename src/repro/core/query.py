@@ -15,11 +15,9 @@ validate them eagerly so solvers can assume well-formed input.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..exceptions import QueryError
-from ..graph.packed import numpy_kernel_available
 from ..types import Vertex
 
 __all__ = ["SGQuery", "STGQuery", "SearchParameters", "VALID_KERNELS"]
@@ -27,7 +25,7 @@ __all__ = ["SGQuery", "STGQuery", "SearchParameters", "VALID_KERNELS"]
 #: Every selectable branch-and-bound kernel, in documentation order.  The
 #: validation error message is derived from this tuple, so adding a kernel
 #: here is what keeps the message (and the CLI choices) from drifting.
-VALID_KERNELS = ("compiled", "numpy", "reference")
+VALID_KERNELS = ("compiled", "reference")
 
 
 @dataclass(frozen=True)
@@ -59,17 +57,11 @@ class SearchParameters:
         Which branch-and-bound inner loop to run: ``"compiled"`` (default)
         maps the feasible graph to dense integer ids and evaluates the
         measures with bitmask AND/popcount and incrementally maintained
-        counters; ``"numpy"`` additionally packs the adjacency into a
-        ``uint64`` matrix (:mod:`repro.graph.packed`) and evaluates the
-        per-candidate measures and candidate-pool pruning scans as
-        whole-pool vectorized reductions; ``"reference"`` keeps the
-        original pure-Python set-based loop.  All kernels explore the
-        identical search tree and return identical results and statistics
-        (asserted by the equivalence test-suite); the reference kernel
-        exists as the executable specification.  numpy is an optional
-        dependency (the ``[speed]`` extra): requesting ``"numpy"`` without
-        it degrades to ``"compiled"`` with a :class:`RuntimeWarning`, never
-        an error — see :func:`repro.graph.packed.numpy_kernel_available`.
+        counters; ``"reference"`` keeps the original pure-Python set-based
+        loop.  Both kernels explore the identical search tree and return
+        identical results and statistics (asserted by the equivalence
+        test-suite); the reference kernel exists as the executable
+        specification.
     """
 
     theta: int = 2
@@ -94,15 +86,6 @@ class SearchParameters:
         if self.kernel not in VALID_KERNELS:
             choices = " or ".join(repr(kernel) for kernel in VALID_KERNELS)
             raise QueryError(f"kernel must be {choices}, got {self.kernel!r}")
-        if self.kernel == "numpy" and not numpy_kernel_available():
-            warnings.warn(
-                "kernel='numpy' requested but numpy >= 2.0 is not installed; "
-                "falling back to the compiled kernel (pip install repro[speed] "
-                "to enable the vectorized kernel)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            object.__setattr__(self, "kernel", "compiled")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ wall-clock numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import FrozenSet, List, Optional
 
 from ..temporal.slots import SlotRange
@@ -57,33 +57,19 @@ class SearchStats:
 
     def merge(self, other: "SearchStats") -> None:
         """Accumulate another stats object into this one (used per pivot)."""
-        self.nodes_expanded += other.nodes_expanded
-        self.candidates_considered += other.candidates_considered
-        self.distance_prunes += other.distance_prunes
-        self.acquaintance_prunes += other.acquaintance_prunes
-        self.availability_prunes += other.availability_prunes
-        self.expansibility_removals += other.expansibility_removals
-        self.unfamiliarity_removals += other.unfamiliarity_removals
-        self.temporal_removals += other.temporal_removals
-        self.solutions_found += other.solutions_found
-        self.pivots_processed += other.pivots_processed
-        self.elapsed_seconds += other.elapsed_seconds
+        mine, theirs = vars(self), vars(other)
+        for name in _SEARCH_STATS_FIELDS:
+            mine[name] += theirs[name]
 
     def as_dict(self) -> dict:
-        """Return the counters as a plain dict (for CSV reporting)."""
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "candidates_considered": self.candidates_considered,
-            "distance_prunes": self.distance_prunes,
-            "acquaintance_prunes": self.acquaintance_prunes,
-            "availability_prunes": self.availability_prunes,
-            "expansibility_removals": self.expansibility_removals,
-            "unfamiliarity_removals": self.unfamiliarity_removals,
-            "temporal_removals": self.temporal_removals,
-            "solutions_found": self.solutions_found,
-            "pivots_processed": self.pivots_processed,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        """Return the counters as a plain dict in field order (for CSV reporting)."""
+        values = vars(self)
+        return {name: values[name] for name in _SEARCH_STATS_FIELDS}
+
+
+#: Counter names in declaration order — the one list ``merge`` and
+#: ``as_dict`` walk, so a new field reaches every report automatically.
+_SEARCH_STATS_FIELDS = tuple(f.name for f in fields(SearchStats))
 
 
 @dataclass(frozen=True)

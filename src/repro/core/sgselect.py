@@ -47,22 +47,18 @@ from ..exceptions import InfeasibleQueryError
 from .context import SearchContext, record_into
 from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph
 from ..graph.extraction import FeasibleGraph, extract_query_forms
-from ..graph.packed import PackedAdjacency, pack_adjacency
 from ..graph.social_graph import SocialGraph
 from ..types import Vertex
 from .ordering import (
     candidate_measures_bitset,
-    expansibility_member_terms,
     exterior_expansibility,
     exterior_expansibility_condition,
     interior_unfamiliarity,
     interior_unfamiliarity_condition,
-    unfamiliarity_measures_packed,
 )
 from .pruning import (
     acquaintance_pruning,
     acquaintance_pruning_bitset,
-    acquaintance_pruning_packed,
     distance_pruning,
     distance_pruning_bitset,
 )
@@ -73,23 +69,6 @@ __all__ = ["SGSelect", "sg_select"]
 
 #: Signature of the incumbent-recording callback shared by both kernels.
 RecordFn = Callable[[Set[Vertex], float], None]
-
-#: Cascade batching: a node whose remaining pool has at most this many
-#: candidates is evaluated with the exact scalar bitset measures instead of
-#: materialising whole-pool arrays.  Forced chains — the deep tails of a
-#: search where pruning leaves a handful of survivors per node — then never
-#: pay per-node numpy dispatch, while wide nodes take the vectorized path
-#: from their first candidate.  Decisions are provably identical in either
-#: lane (same integer measures, same precomputed right-hand sides), so the
-#: search tree and the stats don't depend on the threshold.
-LAZY_MEASURE_THRESHOLD = 4
-
-#: Below this many candidates the numpy kernel routes the whole search to
-#: the compiled bitset expansion: array setup costs more than it saves on
-#: sub-millisecond egos (the cache-hot radius-1 regime), and the two
-#: expansions visit the identical tree with identical stats — pinned by
-#: the kernel-equivalence suite — so routing is invisible in the results.
-NUMPY_MIN_CANDIDATES = 48
 
 
 class SGSelect:
@@ -130,7 +109,6 @@ class SGSelect:
         allowed_candidates: Optional[Set[Vertex]] = None,
         feasible_graph: Optional[FeasibleGraph] = None,
         compiled_graph: Optional[CompiledFeasibleGraph] = None,
-        packed_graph: Optional[PackedAdjacency] = None,
         context: Optional[SearchContext] = None,
     ) -> GroupResult:
         """Answer ``query`` and return the optimal group.
@@ -157,10 +135,6 @@ class SGSelect:
             Optional pre-compiled bitmask form of ``feasible_graph`` (full
             candidate pool).  Ignored when ``allowed_candidates`` restricts
             the pool or the reference kernel is selected.
-        packed_graph:
-            Optional pre-packed ``uint64`` matrix form of ``compiled_graph``
-            (numpy kernel only; same id layout required, so it is discarded
-            whenever ``compiled_graph`` is).
         context:
             Optional :class:`~repro.core.context.SearchContext` this solve's
             kernel statistics are recorded into (in addition to the returned
@@ -173,10 +147,9 @@ class SGSelect:
 
         if feasible_graph is None:
             # A caller-supplied compilation is only trusted together with the
-            # feasible graph it was built from (the packing rides on the
-            # compilation's id layout, so it shares its fate).  On a CSR
-            # graph extract_query_forms derives all three forms in one pass.
-            feasible_graph, compiled_graph, packed_graph = extract_query_forms(
+            # feasible graph it was built from.  On a CSR graph
+            # extract_query_forms derives both forms in one pass.
+            feasible_graph, compiled_graph = extract_query_forms(
                 self.graph, query.initiator, query.radius, self.parameters.kernel
             )
         result = self._search(
@@ -186,7 +159,6 @@ class SGSelect:
             incumbent=math.inf,
             allowed_candidates=allowed_candidates,
             compiled_graph=compiled_graph,
-            packed_graph=packed_graph,
         )
         stats.elapsed_seconds = time.perf_counter() - start
         record_into(context, stats)
@@ -216,7 +188,6 @@ class SGSelect:
         incumbent: float,
         allowed_candidates: Optional[Set[Vertex]] = None,
         compiled_graph: Optional[CompiledFeasibleGraph] = None,
-        packed_graph: Optional[PackedAdjacency] = None,
     ) -> Optional[Tuple[Set[Vertex], float]]:
         """Run the branch-and-bound over the feasible graph.
 
@@ -231,10 +202,8 @@ class SGSelect:
         candidates = feasible_graph.candidates
         if allowed_candidates is not None:
             candidates = [v for v in candidates if v in allowed_candidates]
-            # A restricted pool invalidates a full-pool compilation (and the
-            # packing built on its id layout).
+            # A restricted pool invalidates a full-pool compilation.
             compiled_graph = None
-            packed_graph = None
         if len(candidates) < p - 1:
             return None
 
@@ -247,38 +216,20 @@ class SGSelect:
                 best["members"] = set(members)
                 stats.solutions_found += 1
 
-        kernel = self.parameters.kernel
-        if kernel != "reference":
+        if self.parameters.kernel != "reference":
             compiled = compiled_graph or compile_feasible_graph(feasible_graph, candidates)
-            strangers = [0] * len(compiled)
-            if kernel == "numpy" and compiled.candidate_count >= NUMPY_MIN_CANDIDATES:
-                packed = packed_graph or pack_adjacency(compiled)
-                self._expand_numpy(
-                    compiled=compiled,
-                    packed=packed,
-                    query=query,
-                    members_mask=1,
-                    member_ids=[0],
-                    strangers=strangers,
-                    remaining_mask=compiled.candidate_mask,
-                    current_distance=0.0,
-                    record=record,
-                    best=best,
-                    stats=stats,
-                )
-            else:
-                self._expand_bitset(
-                    compiled=compiled,
-                    query=query,
-                    members_mask=1,
-                    member_ids=[0],
-                    strangers=strangers,
-                    remaining_mask=compiled.candidate_mask,
-                    current_distance=0.0,
-                    record=record,
-                    best=best,
-                    stats=stats,
-                )
+            self._expand_bitset(
+                compiled=compiled,
+                query=query,
+                members_mask=1,
+                member_ids=[0],
+                strangers=[0] * len(compiled),
+                remaining_mask=compiled.candidate_mask,
+                current_distance=0.0,
+                record=record,
+                best=best,
+                stats=stats,
+            )
         else:
             self._expand(
                 graph=feasible_graph.graph,
@@ -427,280 +378,6 @@ class SGSelect:
             # --- branch 2: exclude ``selected`` and continue ----------
             remaining_mask &= ~sel_bit
             deferred_mask &= ~sel_bit
-
-    # ------------------------------------------------------------------
-    # numpy kernel
-    # ------------------------------------------------------------------
-    def _expand_numpy(
-        self,
-        compiled: CompiledFeasibleGraph,
-        packed: PackedAdjacency,
-        query: SGQuery,
-        members_mask: int,
-        member_ids: List[int],
-        strangers: List[int],
-        remaining_mask: int,
-        current_distance: float,
-        record: RecordFn,
-        best: Dict[str, object],
-        stats: SearchStats,
-        base_counts=None,
-        pending_mask: int = 0,
-    ) -> None:
-        """Explore one node of the set-enumeration tree (vectorized measures).
-
-        Shares the bitset kernel's state (int masks, incrementally
-        maintained ``strangers`` counters, the ``record`` callback) and its
-        branching logic exactly — the difference is *how* the measures are
-        evaluated.  The vectorized work happens at pool granularity; the
-        per-candidate checks are plain scalar arithmetic against it:
-
-        * ``unfam`` / ``cand_strangers`` — per-id ``U(VS ∪ {u})`` and
-          ``|VS - N_u|``, one vectorized evaluation per node (they depend
-          only on ``VS``, fixed for the node's lifetime), materialised as
-          Python lists so each considered candidate costs two list lookups
-          instead of the compiled kernel's per-candidate member loop;
-        * ``base_counts`` + ``pending_mask`` — per-id ``|VA ∩ N_i|`` in
-          copy-on-write form: ``base_counts`` holds the counts for a base
-          pool and is *shared* down the tree (children receive the same
-          array), while ``pending_mask`` accumulates the ids removed since
-          the base was taken.  A removal is then one int OR; a candidate's
-          current count is ``base[u] - popcount(pending & N_u)`` (one int
-          AND/popcount); only Lemma 3's rare inner computation rebases the
-          array (a fresh one — ancestors never see the flush);
-        * ``member_terms`` / ``member_min`` — the member side of
-          ``A(VS ∪ {u})`` collapses to one small int list (see
-          :func:`expansibility_member_terms`), updated with plain int
-          adjacency bits on each removal;
-        * the conditions' right-hand sides only depend on node-fixed values
-          and θ, so they are precomputed and refreshed on relaxation
-          (identical expressions to the ``*_condition`` helpers, hence
-          identical float decisions);
-        * high-frequency counters accumulate in locals and are folded into
-          ``stats`` when the node finishes — the totals a caller can
-          observe are identical;
-        * **cascade batching** — a node whose remaining pool holds at most
-          ``LAZY_MEASURE_THRESHOLD`` candidates is measured with the exact
-          scalar bitset arithmetic and never materialises an array, so the
-          forced-chain tail of a search (a handful of survivors per node)
-          never pays numpy dispatch at all.
-        """
-        params = self.parameters
-        p = query.group_size
-        k = query.acquaintance
-        adj = compiled.adj
-        dist = compiled.dist
-        stats.nodes_expanded += 1
-
-        theta = params.theta if params.use_access_ordering else 0
-        deferred_mask = 0
-        members_count = len(member_ids)
-
-        cand_strangers = None  # per-id |VS - N_u| list (whole-node validity)
-        unfam = None  # per-id U(VS ∪ {u}) list (whole-node validity)
-        member_terms = None  # member side of A(VS ∪ {u}); tracks removals
-        member_min = 0
-        considered = 0
-        expans_removed = 0
-        unfam_removed = 0
-
-        new_size = members_count + 1
-        expans_need = p - new_size
-        unfam_rhs = k * (new_size / p) ** theta
-
-        try:
-            while True:
-                if members_count == p:
-                    record(compiled.members_of(members_mask), current_distance)
-                    return
-                remaining_count = remaining_mask.bit_count()
-                if members_count + remaining_count < p:
-                    return
-
-                # --- node-level pruning -----------------------------------
-                if params.use_distance_pruning and distance_pruning_bitset(
-                    incumbent_distance=best["distance"],  # type: ignore[arg-type]
-                    current_distance=current_distance,
-                    members_count=members_count,
-                    group_size=p,
-                    remaining_mask=remaining_mask,
-                    dist=dist,
-                ):
-                    stats.distance_prunes += 1
-                    return
-                if params.use_acquaintance_pruning:
-                    # Same early-outs as the helper, checked first so the
-                    # (frequent) can't-fire case costs no array work.
-                    needed = p - members_count
-                    if needed * (needed - 1 - k) > 0 and remaining_count >= needed:
-                        if base_counts is None:
-                            base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                            pending_mask = 0
-                        elif pending_mask:
-                            # Rebase into a fresh array: the stale base may be
-                            # shared with ancestor nodes.
-                            base_counts = base_counts - packed.intersect_counts(
-                                packed.row(pending_mask)
-                            )
-                            pending_mask = 0
-                        if acquaintance_pruning_packed(
-                            remaining_counts=base_counts,
-                            remaining_indicator=packed.indicator(remaining_mask),
-                            remaining_count=remaining_count,
-                            members_count=members_count,
-                            group_size=p,
-                            acquaintance=k,
-                        ):
-                            stats.acquaintance_prunes += 1
-                            return
-
-                # --- candidate selection (access ordering) ----------------
-                selected = -1
-                while selected < 0:
-                    open_mask = remaining_mask & ~deferred_mask
-                    if not open_mask:
-                        if theta > 0:
-                            theta -= 1
-                            unfam_rhs = k * (new_size / p) ** theta
-                            deferred_mask = 0
-                            continue
-                        # θ exhausted and every remaining candidate deferred or
-                        # removed: nothing left to branch on at this node.
-                        return
-                    # Ids follow the access order, so the lowest set bit is the
-                    # unvisited candidate with the smallest social distance.
-                    cand_bit = open_mask & -open_mask
-                    candidate = cand_bit.bit_length() - 1
-                    considered += 1
-
-                    if unfam is None and remaining_mask.bit_count() <= LAZY_MEASURE_THRESHOLD:
-                        # Cascade-batching scalar lane: a nearly-empty pool
-                        # (the forced-chain tail of the search) is measured
-                        # with the exact bitset arithmetic, so those nodes
-                        # never pay the whole-pool materialisation.  The
-                        # ints are identical to the array path's (the
-                        # adjacency bit in the member terms cancels either
-                        # way), hence identical decisions, tree, counters.
-                        u_val, e_val = candidate_measures_bitset(
-                            adj,
-                            member_ids,
-                            strangers,
-                            members_mask,
-                            remaining_mask & ~cand_bit,
-                            candidate,
-                            k,
-                        )
-                        if e_val < expans_need:
-                            expans_removed += 1
-                        elif u_val > unfam_rhs:
-                            if theta == 0:
-                                unfam_removed += 1
-                            else:
-                                deferred_mask |= cand_bit
-                                continue
-                        else:
-                            selected = candidate
-                            continue
-                        # Removal without arrays: ``member_terms`` is still
-                        # None (it materialises together with ``unfam``), and
-                        # pending bits are harmless while ``base_counts`` is
-                        # None — every materialisation site resets them.
-                        remaining_mask &= ~cand_bit
-                        deferred_mask &= ~cand_bit
-                        pending_mask |= cand_bit
-                        continue
-
-                    if unfam is None:
-                        cs_arr, unfam_arr = unfamiliarity_measures_packed(
-                            packed, member_ids, strangers, members_mask
-                        )
-                        cand_strangers = cs_arr.tolist()
-                        unfam = unfam_arr.tolist()
-                    if base_counts is None:
-                        base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                        pending_mask = 0
-                    if member_terms is None:
-                        member_terms = expansibility_member_terms(
-                            base_counts, member_ids, strangers, k, adj, pending_mask
-                        )
-                        member_min = min(member_terms)
-
-                    cand_adj = adj[candidate]
-                    expans = int(base_counts[candidate]) + k - cand_strangers[candidate]
-                    if pending_mask:
-                        expans -= (pending_mask & cand_adj).bit_count()
-                    if member_min < expans:
-                        expans = member_min
-                    if expans < expans_need:
-                        # Lemma 1: this candidate can never complete the group.
-                        expans_removed += 1
-                    elif unfam[candidate] > unfam_rhs:
-                        if theta == 0:
-                            # The expanded set already violates the acquaintance
-                            # constraint; adding more members can only worsen it.
-                            unfam_removed += 1
-                        else:
-                            deferred_mask |= cand_bit
-                            continue
-                    else:
-                        selected = candidate
-                        continue
-                    # Drop ``candidate`` from the pool: one bit into the
-                    # pending batch, plus the int updates that keep the
-                    # member terms exact.
-                    remaining_mask &= ~cand_bit
-                    deferred_mask &= ~cand_bit
-                    pending_mask |= cand_bit
-                    for j, v in enumerate(member_ids):
-                        member_terms[j] -= cand_adj >> v & 1
-                    member_min = min(member_terms)
-
-                # --- branch 1: include ``selected`` -----------------------
-                sel_bit = 1 << selected
-                sel_adj = adj[selected]
-                strangers[selected] = (members_mask & ~sel_adj).bit_count()
-                for v in member_ids:
-                    if not sel_adj >> v & 1:
-                        strangers[v] += 1
-                member_ids.append(selected)
-                self._expand_numpy(
-                    compiled=compiled,
-                    packed=packed,
-                    query=query,
-                    members_mask=members_mask | sel_bit,
-                    member_ids=member_ids,
-                    strangers=strangers,
-                    remaining_mask=remaining_mask & ~sel_bit,
-                    current_distance=current_distance + dist[selected],
-                    record=record,
-                    best=best,
-                    stats=stats,
-                    # Copy-on-write: the child shares this base array and
-                    # extends the pending batch with ``selected`` (no
-                    # self-loops, so the id's own count needs no fix-up).
-                    base_counts=base_counts,
-                    pending_mask=pending_mask | sel_bit,
-                )
-                member_ids.pop()
-                for v in member_ids:
-                    if not sel_adj >> v & 1:
-                        strangers[v] -= 1
-
-                # --- branch 2: exclude ``selected`` and continue ----------
-                # ``member_terms`` may still be None when ``selected`` came
-                # from the scalar cascade lane; it materialises (reflecting
-                # every pending removal) the first time the array path runs.
-                remaining_mask &= ~sel_bit
-                deferred_mask &= ~sel_bit
-                pending_mask |= sel_bit
-                if member_terms is not None:
-                    for j, v in enumerate(member_ids):
-                        member_terms[j] -= sel_adj >> v & 1
-                    member_min = min(member_terms)
-        finally:
-            stats.candidates_considered += considered
-            stats.expansibility_removals += expans_removed
-            stats.unfamiliarity_removals += unfam_removed
 
     # ------------------------------------------------------------------
     # reference kernel

@@ -35,9 +35,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..exceptions import InfeasibleQueryError, ScheduleError
 from .context import SearchContext, record_into
-from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph
+from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph, iter_bits
 from ..graph.extraction import FeasibleGraph, extract_query_forms
-from ..graph.packed import PackedAdjacency, busy_slot_masks, pack_adjacency
 from ..graph.social_graph import SocialGraph
 from ..temporal.calendars import CalendarStore
 from ..temporal.pivot import PivotWindow, pivot_windows
@@ -46,19 +45,16 @@ from ..temporal.slots import SlotRange
 from ..types import Vertex
 from .ordering import (
     candidate_measures_bitset,
-    expansibility_member_terms,
     exterior_expansibility,
     exterior_expansibility_condition,
     interior_unfamiliarity,
     interior_unfamiliarity_condition,
     temporal_extensibility,
     temporal_extensibility_condition,
-    unfamiliarity_measures_packed,
 )
 from .pruning import (
     acquaintance_pruning,
     acquaintance_pruning_bitset,
-    acquaintance_pruning_packed,
     availability_pruning,
     availability_pruning_bitset,
     distance_pruning,
@@ -66,12 +62,31 @@ from .pruning import (
 )
 from .query import STGQuery, SearchParameters
 from .result import STGroupResult, SearchStats
-from .sgselect import LAZY_MEASURE_THRESHOLD, NUMPY_MIN_CANDIDATES
 
 __all__ = ["STGSelect", "stg_select"]
 
 #: Incumbent-recording callback: (members, total, shared_run, pivot).
 RecordFn = Callable[[object, float, SlotRange, int], None]
+
+
+def busy_slot_masks(
+    schedules: Sequence[Optional[Schedule]], feasible_mask: int, window: PivotWindow
+) -> Dict[int, int]:
+    """Per-slot busy masks over a pivot window — the compiled kernel's
+    input to the Lemma 5 availability prune.
+
+    ``busy[slot]`` has bit ``i`` set when candidate id ``i`` (restricted to
+    ``feasible_mask``) is unavailable in ``slot``, so the prune's per-slot
+    candidate scan becomes one AND/popcount.
+    """
+    masks: Dict[int, int] = {}
+    for slot in window.window:
+        mask = 0
+        for i in iter_bits(feasible_mask):
+            if not schedules[i].is_available(slot):  # type: ignore[union-attr]
+                mask |= 1 << i
+        masks[slot] = mask
+    return masks
 
 
 class STGSelect:
@@ -107,18 +122,17 @@ class STGSelect:
         on_infeasible: str = "return",
         feasible_graph: Optional[FeasibleGraph] = None,
         compiled_graph: Optional[CompiledFeasibleGraph] = None,
-        packed_graph: Optional[PackedAdjacency] = None,
         context: Optional[SearchContext] = None,
     ) -> STGroupResult:
         """Answer ``query`` and return the optimal group and activity period.
 
-        ``feasible_graph`` / ``compiled_graph`` / ``packed_graph`` allow a
-        caller (the batched :class:`~repro.service.QueryService`) to reuse a
-        cached extraction (and its compiled/packed forms) for
-        ``(query.initiator, query.radius)``; the caller guarantees the
-        correspondence.  ``context`` optionally receives this solve's kernel
-        statistics (see :class:`~repro.core.context.SearchContext`) — the
-        service layer records every solve of a batch into one per-batch
+        ``feasible_graph`` / ``compiled_graph`` allow a caller (the batched
+        :class:`~repro.service.QueryService`) to reuse a cached extraction
+        (and its compiled form) for ``(query.initiator, query.radius)``;
+        the caller guarantees the correspondence.  ``context`` optionally
+        receives this solve's kernel statistics (see
+        :class:`~repro.core.context.SearchContext`) — the service layer
+        records every solve of a batch into one per-batch
         ``ExecutionContext`` this way.
         """
         start = time.perf_counter()
@@ -130,21 +144,12 @@ class STGSelect:
             )
 
         if feasible_graph is None:
-            feasible_graph, compiled_graph, packed_graph = extract_query_forms(
+            feasible_graph, compiled_graph = extract_query_forms(
                 self.graph, query.initiator, query.radius, self.parameters.kernel
             )
-        kernel = self.parameters.kernel
-        use_bitset = kernel != "reference"
         compiled: Optional[CompiledFeasibleGraph] = None
-        packed: Optional[PackedAdjacency] = None
-        use_numpy = False
-        if use_bitset:
+        if self.parameters.kernel != "reference":
             compiled = compiled_graph or compile_feasible_graph(feasible_graph)
-            # Small egos route to the bitset expansion even on the numpy
-            # kernel (see NUMPY_MIN_CANDIDATES) — identical tree and stats.
-            use_numpy = kernel == "numpy" and compiled.candidate_count >= NUMPY_MIN_CANDIDATES
-            if use_numpy:
-                packed = packed_graph or pack_adjacency(compiled)
 
         best: Dict[str, object] = {
             "distance": math.inf,
@@ -175,11 +180,7 @@ class STGSelect:
             if not self._member_feasible(q_schedule, window):
                 continue
             stats.pivots_processed += 1
-            if use_numpy:
-                assert compiled is not None and packed is not None
-                self._search_pivot_numpy(compiled, packed, query, window, record, best, stats)
-            elif use_bitset:
-                assert compiled is not None
+            if compiled is not None:
                 self._search_pivot_bitset(compiled, query, window, record, best, stats)
             else:
                 self._search_pivot(feasible_graph, query, window, record, best, stats)
@@ -271,15 +272,11 @@ class STGSelect:
             return
 
         # Per-slot busy masks over the pivot window turn Lemma 5's per-slot
-        # candidate scan into one AND/popcount.  Built by the same helper
-        # the numpy kernel packs its busy matrix from, so the two kernels
-        # can never drift on the prune's input.  Skipped when availability
+        # candidate scan into one AND/popcount.  Skipped when availability
         # pruning is ablated so the toggle isolates the strategy's full cost.
         busy_masks: Dict[int, int] = {}
         if self.parameters.use_availability_pruning:
-            busy_masks = dict(
-                zip(window.window, busy_slot_masks(schedules, feasible_mask, window))
-            )
+            busy_masks = busy_slot_masks(schedules, feasible_mask, window)
 
         strangers = [0] * len(compiled)
         self._expand_bitset(
@@ -458,404 +455,6 @@ class STGSelect:
             # --- branch 2: exclude ``selected`` and continue ----------
             remaining_mask &= ~sel_bit
             deferred_mask &= ~sel_bit
-
-    # ------------------------------------------------------------------
-    # per-pivot search (numpy kernel)
-    # ------------------------------------------------------------------
-    def _search_pivot_numpy(
-        self,
-        compiled: CompiledFeasibleGraph,
-        packed: PackedAdjacency,
-        query: STGQuery,
-        window: PivotWindow,
-        record: RecordFn,
-        best: Dict[str, object],
-        stats: SearchStats,
-    ) -> None:
-        q = query.initiator
-        p = query.group_size
-        m = query.activity_length
-        pivot = window.pivot
-        span = window.window
-
-        q_shared = self.calendars.get(q).free_run_around(pivot, span)
-        if q_shared is None or len(q_shared) < m:
-            return
-        if p == 1:
-            record((q,), 0.0, q_shared, pivot)
-            return
-
-        # Pivot-feasible candidate pool (Definition 4) as a bitmask, plus
-        # the per-candidate schedules the joint-run updates need.  Same
-        # filter as :meth:`_member_feasible`, via the allocation-free
-        # :meth:`~repro.temporal.schedule.Schedule.free_run_around`.
-        schedules: List[Optional[Schedule]] = [None] * len(compiled)
-        feasible_mask = 0
-        for i in range(1, len(compiled)):
-            sched = self.calendars.get(compiled.vertices[i])
-            run = sched.free_run_around(pivot, span)
-            if run is not None and len(run) >= m:
-                feasible_mask |= 1 << i
-                schedules[i] = sched
-        if feasible_mask.bit_count() < p - 1:
-            return
-
-        # Lemma 5's per-slot busy masks, kept as plain ints: the in-search
-        # check scans at most ``2m - 2`` slots and usually breaks on the
-        # first, so one AND/popcount per scanned slot beats converting the
-        # remaining pool to a packed row every node; ``busy_max`` (the
-        # largest per-slot busy total) gates the check so pools nowhere
-        # near the threshold skip it entirely.  Skipped when availability
-        # pruning is ablated so the toggle isolates the strategy's cost.
-        busy_masks = None
-        busy_max = 0
-        if self.parameters.use_availability_pruning:
-            masks = busy_slot_masks(schedules, feasible_mask, window)
-            busy_masks = dict(zip(window.window, masks))
-            busy_max = max((mask.bit_count() for mask in masks), default=0)
-
-        strangers = [0] * len(compiled)
-        self._expand_numpy(
-            compiled=compiled,
-            packed=packed,
-            schedules=schedules,
-            busy_masks=busy_masks,
-            busy_max=busy_max,
-            query=query,
-            window=window,
-            members_mask=1,
-            member_ids=[0],
-            strangers=strangers,
-            shared=q_shared,
-            remaining_mask=feasible_mask,
-            current_distance=0.0,
-            record=record,
-            best=best,
-            stats=stats,
-        )
-
-    def _expand_numpy(
-        self,
-        compiled: CompiledFeasibleGraph,
-        packed: PackedAdjacency,
-        schedules: List[Optional[Schedule]],
-        busy_masks,
-        busy_max: int,
-        query: STGQuery,
-        window: PivotWindow,
-        members_mask: int,
-        member_ids: List[int],
-        strangers: List[int],
-        shared: SlotRange,
-        remaining_mask: int,
-        current_distance: float,
-        record: RecordFn,
-        best: Dict[str, object],
-        stats: SearchStats,
-        base_counts=None,
-        pending_mask: int = 0,
-    ) -> None:
-        """Explore one node of the per-pivot tree (vectorized measures).
-
-        Same state and branching as :meth:`_expand_bitset`; the social
-        measures follow :meth:`SGSelect._expand_numpy` exactly (per-node
-        unfam lists, copy-on-write ``base_counts`` + ``pending_mask``, int
-        ``member_terms``, precomputed condition right-hand sides, node-local
-        stat accumulation).  On top of that, the temporal machinery:
-
-        * Lemma 5's per-slot scan becomes one matrix ``bitwise_count``
-          reduction over the packed busy rows, gated by ``busy_max`` (no
-          slot can reach the threshold ⇒ the prune cannot fire ⇒ skip the
-          array work — the window boundaries alone never prune, as
-          ``t⁺ - t⁻`` is then the full window plus both virtual busy
-          slots, which always exceeds ``m``);
-        * joint runs are pure functions of the node-fixed ``shared`` run,
-          so reconsidering a deferred candidate after a θ/φ relaxation
-          replays them from a per-node memo instead of re-walking the
-          schedule.
-        """
-        params = self.parameters
-        p = query.group_size
-        k = query.acquaintance
-        m = query.activity_length
-        adj = compiled.adj
-        dist = compiled.dist
-        stats.nodes_expanded += 1
-
-        theta = params.theta if params.use_access_ordering else 0
-        phi = params.phi if params.use_access_ordering else params.phi_threshold
-        deferred_mask = 0
-        members_count = len(member_ids)
-
-        cand_strangers = None  # per-id |VS - N_u| list (whole-node validity)
-        unfam = None  # per-id U(VS ∪ {u}) list (whole-node validity)
-        member_terms = None  # member side of A(VS ∪ {u}); tracks removals
-        member_min = 0
-        considered = 0
-        expans_removed = 0
-        unfam_removed = 0
-        temporal_removed = 0
-
-        new_size = members_count + 1
-        expans_need = p - new_size
-        unfam_rhs = k * (new_size / p) ** theta
-        temporal_rhs = (
-            0.0 if phi >= params.phi_threshold else (m - 1) * ((p - new_size) / p) ** phi
-        )
-        joint_memo: Dict[int, tuple] = {}
-
-        try:
-            while True:
-                if members_count == p:
-                    record(
-                        compiled.members_of(members_mask), current_distance, shared, window.pivot
-                    )
-                    return
-                remaining_count = remaining_mask.bit_count()
-                if members_count + remaining_count < p:
-                    return
-
-                # --- node-level pruning -----------------------------------
-                if params.use_distance_pruning and distance_pruning_bitset(
-                    incumbent_distance=best["distance"],  # type: ignore[arg-type]
-                    current_distance=current_distance,
-                    members_count=members_count,
-                    group_size=p,
-                    remaining_mask=remaining_mask,
-                    dist=dist,
-                ):
-                    stats.distance_prunes += 1
-                    return
-                needed = p - members_count
-                if params.use_acquaintance_pruning:
-                    # Same early-outs as the helper, checked first so the
-                    # (frequent) can't-fire case costs no array work.
-                    if needed * (needed - 1 - k) > 0 and remaining_count >= needed:
-                        if base_counts is None:
-                            base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                            pending_mask = 0
-                        elif pending_mask:
-                            # Rebase into a fresh array: the stale base may be
-                            # shared with ancestor nodes.
-                            base_counts = base_counts - packed.intersect_counts(
-                                packed.row(pending_mask)
-                            )
-                            pending_mask = 0
-                        if acquaintance_pruning_packed(
-                            remaining_counts=base_counts,
-                            remaining_indicator=packed.indicator(remaining_mask),
-                            remaining_count=remaining_count,
-                            members_count=members_count,
-                            group_size=p,
-                            acquaintance=k,
-                        ):
-                            stats.acquaintance_prunes += 1
-                            return
-                if (
-                    params.use_availability_pruning
-                    and remaining_count >= needed
-                    and busy_max >= remaining_count - needed + 1
-                    and availability_pruning_bitset(
-                        busy_masks=busy_masks,
-                        remaining_mask=remaining_mask,
-                        members_count=members_count,
-                        group_size=p,
-                        window=window,
-                    )
-                ):
-                    stats.availability_prunes += 1
-                    return
-
-                # --- candidate selection (access ordering) ----------------
-                selected = -1
-                selected_shared: Optional[SlotRange] = None
-                while selected < 0:
-                    open_mask = remaining_mask & ~deferred_mask
-                    if not open_mask:
-                        if theta > 0:
-                            theta -= 1
-                            unfam_rhs = k * (new_size / p) ** theta
-                            deferred_mask = 0
-                            continue
-                        if phi < params.phi_threshold:
-                            phi += 1
-                            temporal_rhs = (
-                                0.0
-                                if phi >= params.phi_threshold
-                                else (m - 1) * ((p - new_size) / p) ** phi
-                            )
-                            deferred_mask = 0
-                            continue
-                        return
-                    cand_bit = open_mask & -open_mask
-                    candidate = cand_bit.bit_length() - 1
-                    considered += 1
-
-                    if unfam is None and remaining_mask.bit_count() <= LAZY_MEASURE_THRESHOLD:
-                        # Cascade-batching scalar lane (see
-                        # SGSelect._expand_numpy): exact bitset measures for
-                        # a nearly-empty pool, so the forced-chain tail of
-                        # the search skips the whole-pool materialisation.
-                        # The temporal checks are shared with the array lane
-                        # (``joint_memo`` is keyed by candidate either way).
-                        u_val, e_val = candidate_measures_bitset(
-                            adj,
-                            member_ids,
-                            strangers,
-                            members_mask,
-                            remaining_mask & ~cand_bit,
-                            candidate,
-                            k,
-                        )
-                        if e_val < expans_need:
-                            expans_removed += 1
-                        elif u_val > unfam_rhs:
-                            if theta == 0:
-                                unfam_removed += 1
-                            else:
-                                deferred_mask |= cand_bit
-                                continue
-                        else:
-                            entry = joint_memo.get(candidate)
-                            if entry is None:
-                                cand_shared = schedules[candidate].free_run_around(  # type: ignore[union-attr]
-                                    window.pivot, shared
-                                )
-                                ext = temporal_extensibility(cand_shared, m)
-                                joint_memo[candidate] = (cand_shared, ext)
-                            else:
-                                cand_shared, ext = entry
-                            if ext >= temporal_rhs:
-                                selected = candidate
-                                selected_shared = cand_shared
-                                continue
-                            if ext >= 0:
-                                deferred_mask |= cand_bit
-                                continue
-                            temporal_removed += 1
-                        # Removal without arrays: ``member_terms`` is still
-                        # None (it materialises together with ``unfam``), and
-                        # pending bits are harmless while ``base_counts`` is
-                        # None — every materialisation site resets them.
-                        remaining_mask &= ~cand_bit
-                        deferred_mask &= ~cand_bit
-                        pending_mask |= cand_bit
-                        continue
-
-                    if unfam is None:
-                        cs_arr, unfam_arr = unfamiliarity_measures_packed(
-                            packed, member_ids, strangers, members_mask
-                        )
-                        cand_strangers = cs_arr.tolist()
-                        unfam = unfam_arr.tolist()
-                    if base_counts is None:
-                        base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                        pending_mask = 0
-                    if member_terms is None:
-                        member_terms = expansibility_member_terms(
-                            base_counts, member_ids, strangers, k, adj, pending_mask
-                        )
-                        member_min = min(member_terms)
-
-                    cand_adj = adj[candidate]
-                    expans = int(base_counts[candidate]) + k - cand_strangers[candidate]
-                    if pending_mask:
-                        expans -= (pending_mask & cand_adj).bit_count()
-                    if member_min < expans:
-                        expans = member_min
-                    if expans < expans_need:
-                        expans_removed += 1
-                    elif unfam[candidate] > unfam_rhs:
-                        if theta == 0:
-                            unfam_removed += 1
-                        else:
-                            deferred_mask |= cand_bit
-                            continue
-                    else:
-                        entry = joint_memo.get(candidate)
-                        if entry is None:
-                            # Same joint run as _joint_run_schedule, via the
-                            # allocation-free bit-trick query.
-                            cand_shared = schedules[candidate].free_run_around(  # type: ignore[union-attr]
-                                window.pivot, shared
-                            )
-                            ext = temporal_extensibility(cand_shared, m)
-                            joint_memo[candidate] = (cand_shared, ext)
-                        else:
-                            cand_shared, ext = entry
-                        if ext >= temporal_rhs:
-                            selected = candidate
-                            selected_shared = cand_shared
-                            continue
-                        if ext >= 0:
-                            deferred_mask |= cand_bit
-                            continue
-                        # Adding this candidate destroys temporal feasibility
-                        # for every extension of the current VS.
-                        temporal_removed += 1
-                    # Drop ``candidate`` from the pool: one bit into the
-                    # pending batch, plus the int updates that keep the
-                    # member terms exact.
-                    remaining_mask &= ~cand_bit
-                    deferred_mask &= ~cand_bit
-                    pending_mask |= cand_bit
-                    for j, v in enumerate(member_ids):
-                        member_terms[j] -= cand_adj >> v & 1
-                    member_min = min(member_terms)
-
-                # --- branch 1: include ``selected`` -----------------------
-                assert selected_shared is not None
-                sel_bit = 1 << selected
-                sel_adj = adj[selected]
-                strangers[selected] = (members_mask & ~sel_adj).bit_count()
-                for v in member_ids:
-                    if not sel_adj >> v & 1:
-                        strangers[v] += 1
-                member_ids.append(selected)
-                self._expand_numpy(
-                    compiled=compiled,
-                    packed=packed,
-                    schedules=schedules,
-                    busy_masks=busy_masks,
-                    busy_max=busy_max,
-                    query=query,
-                    window=window,
-                    members_mask=members_mask | sel_bit,
-                    member_ids=member_ids,
-                    strangers=strangers,
-                    shared=selected_shared,
-                    remaining_mask=remaining_mask & ~sel_bit,
-                    current_distance=current_distance + dist[selected],
-                    record=record,
-                    best=best,
-                    stats=stats,
-                    # Copy-on-write: the child shares this base array and
-                    # extends the pending batch with ``selected`` (no
-                    # self-loops, so the id's own count needs no fix-up).
-                    base_counts=base_counts,
-                    pending_mask=pending_mask | sel_bit,
-                )
-                member_ids.pop()
-                for v in member_ids:
-                    if not sel_adj >> v & 1:
-                        strangers[v] -= 1
-
-                # --- branch 2: exclude ``selected`` and continue ----------
-                # ``member_terms`` may still be None when ``selected`` came
-                # from the scalar cascade lane; it materialises (reflecting
-                # every pending removal) the first time the array path runs.
-                remaining_mask &= ~sel_bit
-                deferred_mask &= ~sel_bit
-                pending_mask |= sel_bit
-                if member_terms is not None:
-                    for j, v in enumerate(member_ids):
-                        member_terms[j] -= sel_adj >> v & 1
-                    member_min = min(member_terms)
-        finally:
-            stats.candidates_considered += considered
-            stats.expansibility_removals += expans_removed
-            stats.unfamiliarity_removals += unfam_removed
-            stats.temporal_removals += temporal_removed
 
     # ------------------------------------------------------------------
     # per-pivot search (reference kernel)

@@ -4,7 +4,6 @@ generators, metrics, and k-plex utilities."""
 from .compiled import CompiledFeasibleGraph, compile_feasible_graph
 from .csr import CSRGraph, csr_available, inspect_stgq, load_stgq, pack_graph
 from .distance import bounded_distance_table, bounded_distances, bounded_shortest_path, hop_counts
-from .packed import PackedAdjacency, numpy_kernel_available, pack_adjacency
 from .extraction import FeasibleGraph, extract_feasible_graph, extract_query_forms
 from .substrate import GraphSubstrate, is_substrate
 from .generators import (
@@ -65,9 +64,6 @@ __all__ = [
     "extract_query_forms",
     "CompiledFeasibleGraph",
     "compile_feasible_graph",
-    "PackedAdjacency",
-    "pack_adjacency",
-    "numpy_kernel_available",
     "bounded_distances",
     "bounded_distance_table",
     "bounded_shortest_path",

@@ -17,8 +17,8 @@ adjacency, and shipping a graph over pickle (process-pool initargs, cache
 invalidation broadcasts) degenerates to shipping *path + version hash* —
 see :meth:`CSRGraph.__reduce__`.
 
-Requires numpy; import stays safe without it (mirroring
-:mod:`repro.graph.packed`) and :func:`csr_available` gates every caller.
+Requires numpy; import stays safe without it and :func:`csr_available`
+gates every caller.
 """
 
 from __future__ import annotations

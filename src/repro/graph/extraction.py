@@ -134,63 +134,55 @@ def extract_feasible_graph(
     bounded Bellman–Ford recurrence from :mod:`repro.graph.distance` rather
     than plain BFS distances.
     """
-    feasible, _, _ = extract_query_forms(graph, source, radius, kernel="reference")
+    feasible, _ = extract_query_forms(graph, source, radius, kernel="reference")
     return feasible
 
 
 def extract_query_forms(
     graph: GraphSubstrate, source: Vertex, radius: int, kernel: str = "reference"
-) -> Tuple[FeasibleGraph, Optional[object], Optional[object]]:
+) -> Tuple[FeasibleGraph, Optional[object]]:
     """Extract every query-time form of the ego network in one pass.
 
-    Returns ``(feasible, compiled, packed)`` — the :class:`FeasibleGraph`
-    always, the :class:`~repro.graph.compiled.CompiledFeasibleGraph` when
-    ``kernel`` is not ``"reference"``, and the
-    :class:`~repro.graph.packed.PackedAdjacency` when ``kernel`` is
-    ``"numpy"`` (``None`` otherwise) — the exact triple a
-    :class:`~repro.service.QueryService` cache entry holds.
+    Returns ``(feasible, compiled)`` — the :class:`FeasibleGraph` always,
+    and the :class:`~repro.graph.compiled.CompiledFeasibleGraph` when
+    ``kernel`` is not ``"reference"`` (``None`` otherwise) — the exact pair
+    a :class:`~repro.service.QueryService` cache entry holds.
 
     On a CSR substrate the whole pipeline is array-granular: one vectorised
     bounded-Bellman–Ford (:meth:`CSRGraph._bounded_rows`), then a single
-    gather of the feasible rows' slices feeds the induced adjacency dict,
-    the dense-id bitmasks *and* the packed ``uint64`` matrix — no
-    ``subgraph()`` double-scan, no per-vertex ``neighbors()`` rescans in
-    ``CompiledFeasibleGraph``.  Every other substrate takes the generic
-    path (``bounded_distances`` → ``subgraph`` → compile → pack).  Both
-    lanes produce byte-identical forms; the substrate-equivalence suite
-    pins this.
+    gather of the feasible rows' slices feeds both the induced adjacency
+    dict and the dense-id bitmasks — no ``subgraph()`` double-scan, no
+    per-vertex ``neighbors()`` rescans in ``CompiledFeasibleGraph``.  Every
+    other substrate takes the generic path (``bounded_distances`` →
+    ``subgraph`` → compile).  Both lanes produce byte-identical forms; the
+    substrate-equivalence suite pins this.
     """
     if source not in graph:
         raise VertexNotFoundError(source)
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     want_compiled = kernel != "reference"
-    want_packed = kernel == "numpy"
 
     if csr_available() and isinstance(graph, CSRGraph):
-        return _extract_query_forms_csr(graph, source, radius, want_compiled, want_packed)
+        return _extract_query_forms_csr(graph, source, radius, want_compiled)
 
     dist = bounded_distances(graph, source, radius)
     feasible_vertices = _canonical_order(list(dist))
     sub = graph.subgraph(feasible_vertices)
     adopted: Dict[Vertex, float] = {v: dist[v] for v in feasible_vertices}
     feasible = FeasibleGraph(graph=sub, source=source, distances=adopted, radius=radius)
-    compiled = packed = None
+    compiled = None
     if want_compiled:
         from .compiled import compile_feasible_graph
 
         compiled = compile_feasible_graph(feasible)
-        if want_packed:
-            from .packed import pack_adjacency
-
-            packed = pack_adjacency(compiled)
-    return feasible, compiled, packed
+    return feasible, compiled
 
 
 def _extract_query_forms_csr(
-    graph: CSRGraph, source: Vertex, radius: int, want_compiled: bool, want_packed: bool
-) -> Tuple[FeasibleGraph, Optional[object], Optional[object]]:
-    """CSR fast lane: build all forms from one gather of the feasible rows."""
+    graph: CSRGraph, source: Vertex, radius: int, want_compiled: bool
+) -> Tuple[FeasibleGraph, Optional[object]]:
+    """CSR fast lane: build both forms from one gather of the feasible rows."""
     src_row = graph._row(source)
     order, dist_arr = graph._bounded_rows(src_row, radius)
     # Canonical feasible order is ascending vertex id; labels are sorted, so
@@ -211,16 +203,15 @@ def _extract_query_forms_csr(
     universe_keys = universe_rows if labels is None else labels[universe_rows]
     key_of_uid = universe_keys.tolist()
 
-    # One gather of every feasible row's slice feeds the dict adjacency,
-    # the int bitmasks and the packed matrix alike.
+    # One gather of every feasible row's slice feeds both the dict
+    # adjacency and the int bitmasks.  The bitmasks are scattered into a
+    # (m, words) uint64 matrix first — one little-endian row per id — and
+    # read back as Python ints below.
     pos, counts = graph._gather_rows(universe_rows)
     sub = SocialGraph(vertices=key_list)
     mat = None
-    adj_ints: Optional[Tuple[int, ...]] = None
-    if want_compiled or want_packed:
-        from .packed import words_for
-
-        words = words_for(m)
+    if want_compiled:
+        words = max(1, -(-m // 64))
         mat = np.zeros((m, words), dtype=np.uint64)
     if pos.size:
         targets = graph._indices[pos].astype(np.int64, copy=False)
@@ -242,7 +233,7 @@ def _extract_query_forms_csr(
 
     feasible = FeasibleGraph(graph=sub, source=source, distances=adopted, radius=radius)
     object.__setattr__(feasible, "_candidates_cache", tuple(key_of_uid[1:]))
-    compiled = packed = None
+    compiled = None
     if want_compiled:
         from .compiled import CompiledFeasibleGraph
 
@@ -257,8 +248,4 @@ def _extract_query_forms_csr(
             adj_ints,
             tuple(dist_arr[universe_rows].tolist()),
         )
-        if want_packed:
-            from .packed import PackedAdjacency
-
-            packed = PackedAdjacency.from_rows(mat)
-    return feasible, compiled, packed
+    return feasible, compiled

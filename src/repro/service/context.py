@@ -34,7 +34,7 @@ number of gateway connections while every delta stays exact.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict
 
 from ..core.context import SearchContext
@@ -81,34 +81,25 @@ class ServiceStats:
         return self.invalidations / self.mutations if self.mutations else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        """Return the counters as a plain dict (for CSV/JSON reporting)."""
-        return {
-            "queries": self.queries,
-            "sg_queries": self.sg_queries,
-            "stg_queries": self.stg_queries,
-            "feasible": self.feasible,
-            "infeasible": self.infeasible,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "solve_seconds": self.solve_seconds,
-            "nodes_expanded": self.nodes_expanded,
-            "mutations": self.mutations,
-            "invalidations": self.invalidations,
-        }
+        """Return the counters as a plain dict in field order (for CSV/JSON reporting)."""
+        values = vars(self)
+        return {name: values[name] for name, _ in _SERVICE_STATS_FIELDS}
 
     def merge_dict(self, delta: Dict[str, float]) -> None:
-        """Accumulate a counter delta (as produced by ``as_dict``)."""
-        self.queries += int(delta.get("queries", 0))
-        self.sg_queries += int(delta.get("sg_queries", 0))
-        self.stg_queries += int(delta.get("stg_queries", 0))
-        self.feasible += int(delta.get("feasible", 0))
-        self.infeasible += int(delta.get("infeasible", 0))
-        self.cache_hits += int(delta.get("cache_hits", 0))
-        self.cache_misses += int(delta.get("cache_misses", 0))
-        self.solve_seconds += float(delta.get("solve_seconds", 0.0))
-        self.nodes_expanded += int(delta.get("nodes_expanded", 0))
-        self.mutations += int(delta.get("mutations", 0))
-        self.invalidations += int(delta.get("invalidations", 0))
+        """Accumulate a counter delta (as produced by ``as_dict``).
+
+        Each value is cast to its field's type (``int`` counters, ``float``
+        seconds), so a delta that crossed the wire as JSON merges exactly.
+        """
+        values = vars(self)
+        for name, cast in _SERVICE_STATS_FIELDS:
+            values[name] += cast(delta.get(name, 0))
+
+
+#: ``(name, type)`` per counter in declaration order — the one list
+#: ``as_dict`` and ``merge_dict`` walk.  The type is the default's (``int``
+#: or ``float``), which is the cast ``merge_dict`` applies.
+_SERVICE_STATS_FIELDS = tuple((f.name, type(f.default)) for f in fields(ServiceStats))
 
 
 class ExecutionContext(SearchContext):

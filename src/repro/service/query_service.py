@@ -33,7 +33,6 @@ from ..graph.mutations import (
     graph_to_snapshot,
 )
 from ..graph.overlay import GraphOverlay
-from ..graph.packed import PackedAdjacency
 from ..graph.social_graph import SocialGraph
 from ..temporal.calendars import CalendarStore
 from ..types import Vertex
@@ -60,12 +59,11 @@ Result = Union[GroupResult, STGroupResult]
 
 #: Cache key: one entry per (initiator, radius) ego network.
 CacheKey = Tuple[Vertex, int]
-#: Cache value: the extracted feasible graph plus the derived forms the
-#: configured kernel runs on (compiled bitset graph, packed uint64 matrix).
-#: Caching the derived forms next to the extraction is what lets every
-#: query of every batch over one ego network share a single compilation
-#: and a single packing.
-CacheEntry = Tuple[FeasibleGraph, Optional[CompiledFeasibleGraph], Optional[PackedAdjacency]]
+#: Cache value: the extracted feasible graph plus the compiled bitset form
+#: the default kernel runs on (``None`` on the reference kernel).  Caching
+#: the compiled form next to the extraction is what lets every query of
+#: every batch over one ego network share a single compilation.
+CacheEntry = Tuple[FeasibleGraph, Optional[CompiledFeasibleGraph]]
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,7 @@ class QueryService:
     # feasible-graph cache
     # ------------------------------------------------------------------
     def _lookup(self, initiator: Vertex, radius: int, context: ExecutionContext) -> CacheEntry:
-        """Return the (feasible, compiled, packed) entry for an ego network.
+        """Return the (feasible, compiled) entry for an ego network.
 
         The hit/miss is counted into ``context`` (the batch's scope, not the
         service globals).  Concurrent misses on the same key are
@@ -273,14 +271,14 @@ class QueryService:
         context.record_cache(hit=False)
         try:
             # Build outside the locks: extraction can be expensive.  On a
-            # CSR graph the single call derives feasible + compiled +
-            # packed from one gather of the feasible rows.
-            feasible, compiled, packed = extract_query_forms(
+            # CSR graph the single call derives feasible + compiled from
+            # one gather of the feasible rows.
+            feasible, compiled = extract_query_forms(
                 self.graph, initiator, radius, self.parameters.kernel
             )
             with self._cache_lock:
                 if self._cache_generation == generation and not self._stale_since(feasible, epoch):
-                    self._cache[key] = (feasible, compiled, packed)
+                    self._cache[key] = (feasible, compiled)
                     self._cache.move_to_end(key)
                     self._index_entry(key, feasible)
                     while len(self._cache) > self.cache_size:
@@ -295,7 +293,7 @@ class QueryService:
                 if self._pending_builds.get(key) is event:
                     del self._pending_builds[key]
             event.set()
-        return feasible, compiled, packed
+        return feasible, compiled
 
     # -- reverse index + staleness (all callers hold _cache_lock) --------
     def _index_entry(self, key: CacheKey, feasible: FeasibleGraph) -> None:
@@ -593,22 +591,14 @@ class QueryService:
         result's service counters are all recorded into ``context``.
         """
         is_stg = isinstance(query, STGQuery)
-        feasible, compiled, packed = self._lookup(query.initiator, query.radius, context)
+        feasible, compiled = self._lookup(query.initiator, query.radius, context)
         if is_stg:
             result: Result = STGSelect(self.graph, self.calendars, self.parameters).solve(
-                query,
-                feasible_graph=feasible,
-                compiled_graph=compiled,
-                packed_graph=packed,
-                context=context,
+                query, feasible_graph=feasible, compiled_graph=compiled, context=context
             )
         else:
             result = SGSelect(self.graph, self.parameters).solve(
-                query,
-                feasible_graph=feasible,
-                compiled_graph=compiled,
-                packed_graph=packed,
-                context=context,
+                query, feasible_graph=feasible, compiled_graph=compiled, context=context
             )
         context.record_result(result, is_stg)
         return result

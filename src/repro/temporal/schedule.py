@@ -180,31 +180,6 @@ class Schedule:
             hi += 1
         return SlotRange(lo, hi)
 
-    def free_run_around(self, slot: int, within: SlotRange) -> Optional[SlotRange]:
-        """Maximal free run containing ``slot``, clipped to ``within``.
-
-        Equivalent to ``self.restricted(within).run_containing(slot)`` but
-        allocation-free: the run boundaries come from two bit operations on
-        the availability mask (highest busy bit below the slot, lowest busy
-        bit above) instead of a per-slot walk over a copied schedule.  This
-        sits on STGSelect's per-candidate hot path (Definition 4 filtering
-        and every joint-run update), so the constant factor matters.
-
-        ``slot`` must lie inside ``within``; a slot beyond the horizon (or
-        busy) yields ``None``, mirroring the restricted-walk behaviour.
-        """
-        bits = self._bits
-        if not bits >> (slot - 1) & 1:
-            return None
-        lo_bound = within.start
-        hi_bound = min(within.end, self._horizon)
-        busy = ~bits
-        below = busy & ((1 << (slot - 1)) - 1) & ~((1 << (lo_bound - 1)) - 1)
-        lo = lo_bound if not below else below.bit_length() + 1
-        above = busy & ((1 << hi_bound) - 1) & ~((1 << slot) - 1)
-        hi = hi_bound if not above else (above & -above).bit_length() - 1
-        return SlotRange(lo, hi)
-
     def has_window(self, length: int, within: Optional[SlotRange] = None) -> bool:
         """Return ``True`` when some run of ``length`` consecutive free slots
         exists (optionally restricted to the ``within`` range)."""

@@ -1,8 +1,7 @@
-"""Equivalence of every selectable kernel against the reference kernel.
+"""Equivalence of the compiled kernel against the reference kernel.
 
-All kernels (``reference`` — the executable specification, ``compiled`` —
-int bitmasks, ``numpy`` — packed uint64 vectorization, when numpy is
-available) are required to visit the identical search tree, so the
+Both kernels (``reference`` — the executable specification, ``compiled`` —
+int bitmasks) are required to visit the identical search tree, so the
 assertions here are strict: same feasibility, same members, same total
 distance (exact float equality — the distance sums accumulate in the same
 order), same temporal fields for STGQ, and the same search statistics.
@@ -17,15 +16,12 @@ from hypothesis import strategies as st
 from repro.core import SearchParameters, SGQuery, SGSelect, STGQuery, STGSelect
 from repro.graph import SocialGraph, compile_feasible_graph, extract_feasible_graph
 from repro.graph.compiled import iter_bits, lowest_bit_index
-from repro.graph.packed import numpy_kernel_available
 from repro.temporal import CalendarStore, Schedule
 
 from ..conftest import make_random_calendars, make_random_graph
 
-#: Every kernel exercised by the equivalence assertions; ``numpy`` joins
-#: when the interpreter has numpy >= 2.0 (without it the fallback path is
-#: covered by tests/core/test_query.py instead).
-KERNELS = ("reference", "compiled") + (("numpy",) if numpy_kernel_available() else ())
+#: Every kernel exercised by the equivalence assertions.
+KERNELS = ("reference", "compiled")
 
 
 def _params(kernel, **kwargs):
@@ -198,33 +194,27 @@ class TestSeededEquivalence:
 # ----------------------------------------------------------------------
 # cached-form reuse (the QueryService path)
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not numpy_kernel_available(), reason="needs numpy >= 2.0")
 class TestSharedPrecompiledForms:
     """Solvers must give identical answers when handed cached forms.
 
-    The service caches (feasible, compiled, packed) per ego network and
-    passes all three into every solve of a batch; the answers (and stats)
-    must match a cold solve exactly, and a restricted candidate pool must
-    discard the cached full-pool forms rather than mis-index into them.
+    The service caches (feasible, compiled) per ego network and passes both
+    into every solve of a batch; the answers (and stats) must match a cold
+    solve exactly, and a restricted candidate pool must discard the cached
+    full-pool compilation rather than mis-index into it.
     """
 
     def _forms(self, graph, initiator, radius):
-        from repro.graph.packed import pack_adjacency
-
         feasible = extract_feasible_graph(graph, initiator, radius)
-        compiled = compile_feasible_graph(feasible)
-        return feasible, compiled, pack_adjacency(compiled)
+        return feasible, compile_feasible_graph(feasible)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sg_cached_forms_match_cold_solve(self, seed):
         graph = make_random_graph(seed, n=12, edge_prob=0.4)
         query = SGQuery(initiator=0, group_size=4, radius=2, acquaintance=1)
-        solver = SGSelect(graph, _params("numpy"))
-        feasible, compiled, packed = self._forms(graph, 0, 2)
+        solver = SGSelect(graph, _params("compiled"))
+        feasible, compiled = self._forms(graph, 0, 2)
         cold = solver.solve(query)
-        warm = solver.solve(
-            query, feasible_graph=feasible, compiled_graph=compiled, packed_graph=packed
-        )
+        warm = solver.solve(query, feasible_graph=feasible, compiled_graph=compiled)
         assert warm.members == cold.members
         assert warm.total_distance == cold.total_distance
         assert _strip(warm.stats) == _strip(cold.stats)
@@ -234,12 +224,10 @@ class TestSharedPrecompiledForms:
         graph = make_random_graph(seed, n=11, edge_prob=0.4)
         calendars = make_random_calendars(seed + 9, list(graph), horizon=10, availability=0.6)
         query = STGQuery(initiator=0, group_size=4, radius=2, acquaintance=1, activity_length=2)
-        solver = STGSelect(graph, calendars, _params("numpy"))
-        feasible, compiled, packed = self._forms(graph, 0, 2)
+        solver = STGSelect(graph, calendars, _params("compiled"))
+        feasible, compiled = self._forms(graph, 0, 2)
         cold = solver.solve(query)
-        warm = solver.solve(
-            query, feasible_graph=feasible, compiled_graph=compiled, packed_graph=packed
-        )
+        warm = solver.solve(query, feasible_graph=feasible, compiled_graph=compiled)
         assert warm.members == cold.members
         assert warm.total_distance == cold.total_distance
         assert warm.period == cold.period
@@ -249,16 +237,18 @@ class TestSharedPrecompiledForms:
         graph = make_random_graph(3, n=12, edge_prob=0.45)
         allowed = {v for v in graph if isinstance(v, int) and v % 2 == 0}
         query = SGQuery(initiator=0, group_size=4, radius=2, acquaintance=2)
-        solver = SGSelect(graph, _params("numpy"))
-        feasible, compiled, packed = self._forms(graph, 0, 2)
+        solver = SGSelect(graph, _params("compiled"))
+        feasible, compiled = self._forms(graph, 0, 2)
         restricted = solver.solve(
             query,
             allowed_candidates=allowed,
             feasible_graph=feasible,
             compiled_graph=compiled,
-            packed_graph=packed,
         )
-        baseline = solver.solve(query, allowed_candidates=allowed)
+        # The oracle never sees a compiled form, so a cached full-pool
+        # compilation leaking into the restricted search would show here.
+        baseline = SGSelect(graph, _params("reference")).solve(query, allowed_candidates=allowed)
+        assert restricted.members <= allowed | {0}
         assert restricted.members == baseline.members
         assert restricted.total_distance == baseline.total_distance
         assert _strip(restricted.stats) == _strip(baseline.stats)

@@ -92,9 +92,16 @@ class TestKernelSelection:
     @pytest.mark.parametrize("kernel", VALID_KERNELS)
     def test_every_listed_kernel_constructs(self, kernel):
         # The registry is authoritative: a kernel name listed there must be
-        # accepted (possibly degrading, never raising).
-        params = SearchParameters(kernel=kernel)
-        assert params.kernel in VALID_KERNELS
+        # accepted as-is.
+        assert SearchParameters(kernel=kernel).kernel == kernel
+
+    def test_registry_is_compiled_and_reference(self):
+        assert VALID_KERNELS == ("compiled", "reference")
+
+    def test_retired_numpy_kernel_is_rejected(self):
+        # Rejected like any unknown name, never degraded to another kernel.
+        with pytest.raises(QueryError, match="'numpy'"):
+            SearchParameters(kernel="numpy")
 
     @given(st.text(max_size=12).filter(lambda s: s not in VALID_KERNELS))
     def test_unknown_kernel_message_derives_from_registry(self, kernel):
@@ -106,26 +113,9 @@ class TestKernelSelection:
         for name in VALID_KERNELS:
             assert repr(name) in message
 
-    def test_numpy_kernel_selected_when_available(self):
-        pytest.importorskip("numpy")
-        from repro.graph.packed import numpy_kernel_available
-
-        if not numpy_kernel_available():
-            pytest.skip("numpy too old for the vectorized kernel")
-        assert SearchParameters(kernel="numpy").kernel == "numpy"
-
-    def test_numpy_kernel_degrades_to_compiled_without_numpy(self, monkeypatch):
-        # Simulate an interpreter without (a new-enough) numpy: the request
-        # must degrade to the compiled kernel with a warning, not error.
-        monkeypatch.setattr("repro.core.query.numpy_kernel_available", lambda: False)
-        with pytest.warns(RuntimeWarning, match="falling back to the compiled kernel"):
-            params = SearchParameters(kernel="numpy")
-        assert params.kernel == "compiled"
-
-    def test_other_kernels_never_warn_about_numpy(self, monkeypatch):
+    def test_other_kernels_never_warn_about_numpy(self):
         import warnings
 
-        monkeypatch.setattr("repro.core.query.numpy_kernel_available", lambda: False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert SearchParameters(kernel="compiled").kernel == "compiled"

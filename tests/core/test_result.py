@@ -1,11 +1,25 @@
 """Unit tests for result objects and search statistics."""
 
+import dataclasses
+import json
 import math
 
 import pytest
 
 from repro.core import GroupResult, STGroupResult, SearchStats
+from repro.service.context import ServiceStats
 from repro.temporal import SlotRange
+
+
+def distinct_values(cls):
+    """A distinct value per field of ``cls``, of the field's own type.
+
+    Float fields get a fractional part, so an ``int`` cast would show.
+    """
+    return {
+        f.name: i + 1.25 if isinstance(f.default, float) else i + 1
+        for i, f in enumerate(dataclasses.fields(cls))
+    }
 
 
 class TestSearchStats:
@@ -28,6 +42,52 @@ class TestSearchStats:
         assert d["nodes_expanded"] == 7
         assert "availability_prunes" in d
         assert "pivots_processed" in d
+
+    def test_every_field_reaches_as_dict_in_order(self):
+        # A counter added later cannot drop off the wire: as_dict is the
+        # per-response ``stats`` payload.
+        values = distinct_values(SearchStats)
+        d = SearchStats(**values).as_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(SearchStats)]
+        assert d == values
+        for name, value in d.items():
+            assert type(value) is type(values[name]), name
+
+    def test_merge_accumulates_every_field(self):
+        values = distinct_values(SearchStats)
+        stats = SearchStats(**values)
+        stats.merge(SearchStats(**values))
+        assert stats.as_dict() == {name: 2 * value for name, value in values.items()}
+
+
+class TestServiceStats:
+    def test_every_field_reaches_as_dict_in_order(self):
+        # as_dict is the ``stats_delta`` frame and the ``/stats`` payload.
+        values = distinct_values(ServiceStats)
+        d = ServiceStats(**values).as_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(ServiceStats)]
+        assert d == values
+        for name, value in d.items():
+            assert type(value) is type(values[name]), name
+
+    def test_merge_dict_round_trips_every_field_over_json(self):
+        values = distinct_values(ServiceStats)
+        # The delta crosses the wire as JSON numbers of any type; merge_dict
+        # casts each one back to its field's type.
+        wire = json.loads(json.dumps({name: float(v) for name, v in values.items()}))
+        stats = ServiceStats(**values)
+        stats.merge_dict(wire)
+        merged = stats.as_dict()
+        assert merged == {name: 2 * value for name, value in values.items()}
+        for name, value in merged.items():
+            assert type(value) is type(values[name]), name
+
+    def test_merge_dict_tolerates_missing_keys(self):
+        stats = ServiceStats(queries=3)
+        stats.merge_dict({"cache_hits": 2})
+        assert stats.queries == 3
+        assert stats.cache_hits == 2
+        assert stats.solve_seconds == 0.0
 
 
 class TestGroupResult:

@@ -63,11 +63,11 @@ class TestSolve:
         assert reference.total_distance == compiled.total_distance
 
     def test_every_kernel_serves_identically(self, service_setup):
-        """The service's cached forms (compiled + packed) feed every kernel.
+        """The service's cached (feasible, compiled) pair feeds every kernel.
 
         Solving the same mixed batch through one service per kernel must
         give identical results — this is the cache-entry plumbing test:
-        the numpy kernel runs off the packed matrix built at cache-miss
+        the compiled kernel runs off the compiled graph built at cache-miss
         time, shared by both queries of the repeated initiator.
         """
         from repro.core import VALID_KERNELS

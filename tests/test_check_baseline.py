@@ -15,8 +15,8 @@ _spec.loader.exec_module(check_baseline)
 
 BASELINE = {
     "compiled": {"qps": 30.0, "wall_s": 7.0, "queries": 200},
-    "numpy": {"qps": 40.0},
-    "numpy_vs_compiled": 1.33,
+    "csr": {"qps": 40.0},
+    "csr_vs_dict": 1.33,
     "meta": {"cpu_count": 8},
 }
 
@@ -32,8 +32,8 @@ class TestLeafExtraction:
         leaves = dict(check_baseline.iter_throughput_leaves(BASELINE))
         assert leaves == {
             "compiled.qps": 30.0,
-            "numpy.qps": 40.0,
-            "numpy_vs_compiled": 1.33,
+            "csr.qps": 40.0,
+            "csr_vs_dict": 1.33,
         }
 
     def test_nested_paths_are_dotted(self):
@@ -51,7 +51,7 @@ class TestGate:
         assert check_baseline.main([base, base]) == 0
 
     def test_small_drop_within_tolerance_passes(self, tmp_path, capsys):
-        fresh = {"compiled": {"qps": 27.0}, "numpy": {"qps": 38.0}, "numpy_vs_compiled": 1.30}
+        fresh = {"compiled": {"qps": 27.0}, "csr": {"qps": 38.0}, "csr_vs_dict": 1.30}
         code = check_baseline.main(
             [write(tmp_path, "b.json", BASELINE), write(tmp_path, "f.json", fresh)]
         )
@@ -59,7 +59,7 @@ class TestGate:
         assert "ok: 3 throughput metrics" in capsys.readouterr().out
 
     def test_large_drop_fails(self, tmp_path, capsys):
-        fresh = {"compiled": {"qps": 20.0}, "numpy": {"qps": 40.0}, "numpy_vs_compiled": 1.33}
+        fresh = {"compiled": {"qps": 20.0}, "csr": {"qps": 40.0}, "csr_vs_dict": 1.33}
         code = check_baseline.main(
             [write(tmp_path, "b.json", BASELINE), write(tmp_path, "f.json", fresh)]
         )
@@ -68,7 +68,7 @@ class TestGate:
         assert "FAIL" in out and "compiled.qps" in out
 
     def test_missing_metric_fails(self, tmp_path, capsys):
-        fresh = {"compiled": {"qps": 30.0}, "numpy_vs_compiled": 1.33}
+        fresh = {"compiled": {"qps": 30.0}, "csr_vs_dict": 1.33}
         code = check_baseline.main(
             [write(tmp_path, "b.json", BASELINE), write(tmp_path, "f.json", fresh)]
         )
@@ -76,7 +76,7 @@ class TestGate:
         assert "missing" in capsys.readouterr().out
 
     def test_throughput_rise_passes(self, tmp_path):
-        fresh = {"compiled": {"qps": 99.0}, "numpy": {"qps": 99.0}, "numpy_vs_compiled": 9.9}
+        fresh = {"compiled": {"qps": 99.0}, "csr": {"qps": 99.0}, "csr_vs_dict": 9.9}
         assert check_baseline.main(
             [write(tmp_path, "b.json", BASELINE), write(tmp_path, "f.json", fresh)]
         ) == 0

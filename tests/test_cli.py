@@ -199,6 +199,14 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--backend", "gpu"])
 
+    @pytest.mark.parametrize("command", ["serve", "worker", "http"])
+    def test_kernel_choices_are_compiled_and_reference(self, command):
+        parser = build_parser()
+        for kernel in ("compiled", "reference"):
+            assert parser.parse_args([command, "--kernel", kernel]).kernel == kernel
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--kernel", "numpy"])
+
 
 class TestStatsCommand:
     def test_stats_arguments(self):
