@@ -30,7 +30,7 @@ from ..graph.extraction import FeasibleGraph, extract_feasible_graph
 from ..graph.kplex import is_kplex
 from ..graph.social_graph import SocialGraph
 from ..temporal.calendars import CalendarStore
-from ..temporal.pivot import PivotWindow, pivot_windows
+from ..temporal.pivot import PivotWindow, feasible_members_for_pivot, pivot_windows
 from ..temporal.slots import SlotRange
 from ..types import Vertex
 from .query import SGQuery, STGQuery
@@ -221,15 +221,7 @@ class GreedySTGQ:
     # ------------------------------------------------------------------
     def _available_for_window(self, window: PivotWindow) -> Set[Vertex]:
         """People with a long-enough free run through the pivot (Definition 4)."""
-        available: Set[Vertex] = set()
-        for person in self.calendars.people():
-            sched = self.calendars.get(person)
-            if window.pivot > sched.horizon or not sched.is_available(window.pivot):
-                continue
-            run = sched.restricted(window.window).run_containing(window.pivot)
-            if run is not None and len(run) >= window.activity_length:
-                available.add(person)
-        return available
+        return feasible_members_for_pivot(self.calendars, window, self.calendars.people())
 
     def _common_period(
         self, members: frozenset, window: PivotWindow, activity_length: int

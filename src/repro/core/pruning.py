@@ -11,11 +11,13 @@ availability pruning), so enabling them never changes the optimal answer.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
+from ..graph.compiled import iter_bits
 from ..graph.social_graph import SocialGraph
 from ..temporal.calendars import CalendarStore
 from ..temporal.pivot import PivotWindow
+from ..temporal.schedule import Schedule
 from ..types import Vertex
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "distance_pruning_bitset",
     "acquaintance_pruning_bitset",
     "availability_pruning_bitset",
+    "busy_slot_masks",
 ]
 
 
@@ -172,6 +175,26 @@ def acquaintance_pruning_bitset(
         mask ^= low
     upper_bound = total_inner - not_chosen * (min_inner or 0)
     return upper_bound < required
+
+
+def busy_slot_masks(
+    schedules: Sequence[Optional[Schedule]], feasible_mask: int, window: PivotWindow
+) -> Dict[int, int]:
+    """Per-slot busy masks over a pivot window — the compiled kernel's
+    input to :func:`availability_pruning_bitset`.
+
+    ``busy[slot]`` has bit ``i`` set when candidate id ``i`` (restricted to
+    ``feasible_mask``) is unavailable in ``slot``, so the prune's per-slot
+    candidate scan becomes one AND/popcount.
+    """
+    masks: Dict[int, int] = {}
+    for slot in window.window:
+        mask = 0
+        for i in iter_bits(feasible_mask):
+            if not schedules[i].is_available(slot):  # type: ignore[union-attr]
+                mask |= 1 << i
+        masks[slot] = mask
+    return masks
 
 
 def availability_pruning_bitset(

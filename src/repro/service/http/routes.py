@@ -16,8 +16,9 @@ property the test suite and the CI smoke assert.
 Validation is two-phase, mirroring the service: *shape* errors (missing or
 mistyped fields, bad cursor) are client mistakes → 400 with a field-level
 ``fields`` map (and ``index`` inside a batch); an initiator absent from the
-graph is also caught up front (same 400) because ``solve_many`` is
-all-or-nothing and one bad query must not fail its batchmates.
+graph, or an STGQ longer than the planning horizon, is also caught up front
+(same 400) because ``solve_many`` is all-or-nothing and one bad query must
+not fail its batchmates.
 """
 
 from __future__ import annotations

@@ -183,9 +183,10 @@ async def _solve_entries(service: QueryService, entries: List[_Entry]) -> List[U
     """Solve one batch's parsed queries, turning library errors into strings.
 
     Requests that fail the service's own validation (unknown initiator,
-    STGQ without calendars) are rejected up front per entry, so the batch
-    fast path stays exception-free and service stats count each query
-    exactly once on every backend.  Any remaining library error downgrades
+    STGQ without calendars or longer than the planning horizon) are
+    rejected up front per entry, so the batch fast path stays
+    exception-free and service stats count each query exactly once on
+    every backend.  Any remaining library error downgrades
     the whole batch to error responses rather than killing the loop.
     """
     for entry in entries:

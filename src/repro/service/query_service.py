@@ -559,14 +559,21 @@ class QueryService:
     def _validate(self, query: Query) -> None:
         """Reject malformed traffic before it reaches an executor.
 
-        Unknown initiators are rejected here rather than deep inside the
-        extraction so every backend fails identically — the remote backend
+        Unknown initiators and STGQs longer than the planning horizon are
+        rejected here rather than deep inside the extraction or the solver
+        so every backend fails identically, per query — the remote backend
         would otherwise degrade them to in-band error results while the
-        local backends raise.
+        local backends raise, and a solver error fails every query batched
+        with it.
         """
         if isinstance(query, STGQuery):
             if self.calendars is None:
                 raise QueryError("a CalendarStore is required for social-temporal queries")
+            if query.activity_length > self.calendars.horizon:
+                raise QueryError(
+                    f"activity length m={query.activity_length} exceeds the planning "
+                    f"horizon {self.calendars.horizon}"
+                )
         elif not isinstance(query, SGQuery):
             raise QueryError(f"unsupported query type {type(query).__name__}")
         if query.initiator not in self.graph:

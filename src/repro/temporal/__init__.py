@@ -12,6 +12,7 @@ from .pivot import (
     PivotWindow,
     candidate_periods,
     feasible_members_for_pivot,
+    pivot_feasible,
     pivot_slots,
     pivot_window,
     pivot_windows,
@@ -34,6 +35,7 @@ __all__ = [
     "pivot_windows",
     "candidate_periods",
     "feasible_members_for_pivot",
+    "pivot_feasible",
     "random_schedule",
     "day_structured_schedule",
     "generate_calendar_store",

@@ -16,9 +16,18 @@ from typing import Iterable, List, Set
 from ..exceptions import ScheduleError
 from ..types import Vertex
 from .calendars import CalendarStore
+from .schedule import Schedule
 from .slots import SlotRange
 
-__all__ = ["PivotWindow", "pivot_slots", "pivot_window", "pivot_windows", "candidate_periods"]
+__all__ = [
+    "PivotWindow",
+    "pivot_slots",
+    "pivot_window",
+    "pivot_windows",
+    "candidate_periods",
+    "pivot_feasible",
+    "feasible_members_for_pivot",
+]
 
 
 @dataclass(frozen=True)
@@ -76,20 +85,23 @@ def candidate_periods(horizon: int, activity_length: int) -> List[SlotRange]:
     return SlotRange(1, horizon).windows(activity_length)
 
 
+def pivot_feasible(schedule: Schedule, window: PivotWindow) -> bool:
+    """Definition 4 of the paper for one person: free in the pivot slot, with
+    a free run of at least ``m`` slots through the pivot inside the window.
+
+    A pivot beyond the schedule's horizon is never feasible.
+    """
+    if window.pivot > schedule.horizon or not schedule.is_available(window.pivot):
+        return False
+    run = schedule.restricted(window.window).run_containing(window.pivot)
+    return run is not None and len(run) >= window.activity_length
+
+
 def feasible_members_for_pivot(
     calendars: CalendarStore,
     window: PivotWindow,
     candidates: Iterable[Vertex],
 ) -> Set[Vertex]:
-    """People who have at least ``m`` consecutive free slots inside the pivot window
-    *and* are free in the pivot slot itself (Definition 4 of the paper).
-    """
-    feasible: Set[Vertex] = set()
-    for person in candidates:
-        sched = calendars.get(person)
-        if not sched.is_available(window.pivot):
-            continue
-        run = sched.restricted(window.window).run_containing(window.pivot)
-        if run is not None and len(run) >= window.activity_length:
-            feasible.add(person)
-    return feasible
+    """The people among ``candidates`` who satisfy Definition 4 for ``window``
+    (see :func:`pivot_feasible`)."""
+    return {person for person in candidates if pivot_feasible(calendars.get(person), window)}

@@ -172,19 +172,22 @@ class TestErrorRecoveryAndClients:
         # raises inside the library — the loop must answer with an error
         # object and keep serving the rest of the batch.
         people = dataset.people
+        too_long = dataset.calendars.horizon + 1
         lines = [
             json.dumps({"id": 1, "initiator": people[0], "p": 3, "k": 1}),
             json.dumps({"id": 2, "initiator": 99999, "p": 3, "k": 1}),
             json.dumps({"id": 3, "initiator": people[1], "p": 3, "k": 1}),
+            json.dumps({"id": 4, "initiator": people[1], "p": 3, "k": 1, "m": too_long}),
         ]
         out = io.StringIO()
-        served = serve_jsonl(service, io.StringIO("\n".join(lines) + "\n"), out, batch_size=3)
+        served = serve_jsonl(service, io.StringIO("\n".join(lines) + "\n"), out, batch_size=4)
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
-        assert served == 3
-        assert [r["id"] for r in responses] == [1, 2, 3]
+        assert served == 4
+        assert [r["id"] for r in responses] == [1, 2, 3, 4]
         assert "feasible" in responses[0]
         assert "error" in responses[1] and "99999" in responses[1]["error"]
         assert "feasible" in responses[2]
+        assert "error" in responses[3] and "horizon" in responses[3]["error"]
         # Each good query is counted exactly once (no fallback double count).
         assert service.stats().queries == 2
 

@@ -134,6 +134,12 @@ class TestSingleQuery:
         assert response.status == 400
         assert "initiator" in response.body["fields"]
 
+    def test_activity_longer_than_horizon_400(self, app, service):
+        too_long = dict(STG_PAYLOAD, activity_length=service.calendars.horizon + 1)
+        response = post(app, too_long)
+        assert response.status == 400
+        assert "horizon" in response.body["error"]
+
     def test_missing_required_fields_reported_together(self, app):
         response = post(app, {"radius": 0})
         assert response.status == 400
@@ -216,6 +222,13 @@ class TestBatchIdentity:
         assert response.status == 400
         assert response.body["index"] == 1
         assert "group_size" in response.body["fields"]
+
+    def test_batch_activity_longer_than_horizon_reports_index(self, app, service):
+        too_long = dict(STG_PAYLOAD, activity_length=service.calendars.horizon + 1)
+        response = post(app, {"queries": [dict(SG_PAYLOAD), too_long]})
+        assert response.status == 400
+        assert response.body["index"] == 1
+        assert "horizon" in response.body["error"]
 
     def test_batch_queries_must_be_list(self, app):
         response = post(app, {"queries": {"initiator": 0}})

@@ -277,6 +277,9 @@ class TestControlFrames:
                                     acquaintance=1)),
                 {"group_size": 4},  # missing initiator
                 {"initiator": 999999, "group_size": 3},  # not in graph
+                request_for(STGQuery(initiator=dataset.people[0], group_size=3, radius=1,
+                                     acquaintance=1,
+                                     activity_length=dataset.calendars.horizon + 1)),
             ]
             send_frame(sock, {"type": "batch", "id": 1, "requests": requests})
             reply = recv_frame(sock)
@@ -285,6 +288,7 @@ class TestControlFrames:
             assert "kind" in results[0]
             assert "error" in results[1] and "initiator" in results[1]["error"]
             assert "error" in results[2] and "999999" in results[2]["error"]
+            assert "error" in results[3] and "horizon" in results[3]["error"]
             # Only the solved query is in the delta.
             assert reply["stats_delta"]["queries"] == 1
         finally:

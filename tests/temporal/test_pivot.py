@@ -9,6 +9,7 @@ from repro.temporal import (
     SlotRange,
     candidate_periods,
     feasible_members_for_pivot,
+    pivot_feasible,
     pivot_slots,
     pivot_window,
     pivot_windows,
@@ -102,6 +103,12 @@ class TestFeasibleMembers:
         # shorter than 3 -> excluded.
         members = feasible_members_for_pivot(cal, w, ["edge", "free"])
         assert members == {"free"}
+
+    def test_pivot_beyond_the_horizon_is_never_feasible(self):
+        cal = self.make_store()
+        w = pivot_window(pivot=12, activity_length=4, horizon=15)
+        assert not pivot_feasible(cal.get("free"), w)
+        assert feasible_members_for_pivot(cal, w, ["free", "edge"]) == set()
 
 
 class TestCandidatePeriods:
