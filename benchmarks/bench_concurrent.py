@@ -60,8 +60,8 @@ def pick_stream_initiators(dataset, width: int) -> List:
     """One heavy radius-2 initiator per worker-side shard.
 
     Batches pinned to these initiators occupy disjoint shards of the
-    worker's process pool, so the concurrency win is visible: a second
-    in-flight batch uses a worker process the first leaves idle.
+    worker's process backend, so the concurrency win is visible: a second
+    in-flight batch uses a child process the first leaves idle.
     """
     by_weight = sorted(dataset.people, key=lambda v: -ego_size(dataset, v, 2))
     chosen: Dict[int, object] = {}
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     ) as cluster:
         print(f"worker ready at {cluster.connect_spec()}")
         # Warm-up: run each distinct stream batch once so the worker's
-        # process pools are started and its ego-network caches are hot
+        # process-backend children are started and its ego-network caches are hot
         # before either measured leg.
         warmup = run_leg(dataset, cluster.connect_spec(), batches[: args.worker_width], 1)
         if warmup["errors"]:

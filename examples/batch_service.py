@@ -15,16 +15,19 @@ Scaling the service
   compiled kernel's popcount loops hold the GIL, so throughput saturates
   around one core no matter how many threads you add.
 * ``backend="process"`` — the workload is *sharded by initiator* across
-  persistent worker processes.  Each worker holds its own copy of the graph
-  plus a private ego-network LRU cache, and every query routes to the worker
-  owning its initiator, so each worker's cache stays hot for its shard of
-  users.  This is the backend that scales solver-bound batches across cores
-  (`stgq serve --backend process --workers 4`), at the cost of process
-  startup and per-batch IPC.
+  worker processes the service spawns on 127.0.0.1.  Each worker holds its
+  own copy of the graph plus a private ego-network LRU cache, and every
+  query routes to the worker owning its initiator, so each worker's cache
+  stays hot for its shard of users.  This is the backend that scales
+  solver-bound batches across cores (`stgq serve --backend process
+  --workers 4`), at the cost of process startup and a JSON round trip over
+  loopback per batch.  It is ``RemoteBackend`` over local children: a
+  dead child fails its shard's queries (``ErrorResult``), not the batch,
+  the remote deadlines apply, and vertex ids must survive JSON.
 * ``backend="serial"`` — the in-process loop, for debugging and baselines.
 * ``backend=RemoteBackend(...)`` — the multi-node shape: the same sharding
-  across ``stgq worker`` TCP processes.  See ``examples/cluster_quickstart.py``
-  and ``docs/service.md``.
+  across ``stgq worker`` TCP processes on any machine.  See
+  ``examples/cluster_quickstart.py`` and ``docs/service.md``.
 
 Whichever backend runs, ``stats()`` / ``cache_info()`` aggregate identically
 (worker counters merge into the parent), and ``solve_many_async`` lets an
@@ -103,8 +106,8 @@ def main() -> None:
           f"(hit rate {info.hit_rate:.0%}, {info.size}/{info.max_size} entries)")
 
     # 6. Scaling the service: the same traffic through the initiator-sharded
-    #    process backend.  Each worker process owns a shard of the users —
-    #    its own graph copy plus a private ego-network cache — so the
+    #    process backend.  Each child worker process owns a shard of the
+    #    users — its own graph copy plus a private ego-network cache — so the
     #    GIL-bound kernel work runs on every core at once.  Results and
     #    aggregate stats are identical to the thread backend by contract
     #    (see tests/service/test_backends.py); only the wall clock changes.

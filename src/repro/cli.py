@@ -67,8 +67,8 @@ Three sub-commands mirror how the library is typically used:
     format revision, content version hash) without loading the arrays.
 
 ``serve``/``worker``/``cluster``/``http`` install SIGINT/SIGTERM handlers
-that close the service first (draining executor pools, worker processes and
-sockets), so Ctrl-C never leaks forkserver workers.  The serving loops
+that close the service first (draining executor threads, worker processes and
+sockets), so Ctrl-C never leaks process-backend children.  The serving loops
 (``serve --jsonl``, ``worker``, ``http``) drain *in-flight requests* before
 exiting — see :mod:`repro.service.drain` — so a mid-batch SIGTERM drops no
 accepted work.
@@ -132,7 +132,7 @@ def _graceful_shutdown() -> Iterator[None]:
     """Translate SIGINT/SIGTERM into ``SystemExit`` for the enclosing scope.
 
     A raised ``SystemExit`` unwinds the ``with service:`` block, so executor
-    pools, forkserver workers and sockets are drained instead of leaked when
+    threads, process-backend children and sockets are drained instead of leaked when
     the operator hits Ctrl-C or an orchestrator sends SIGTERM.  The previous
     handlers are restored on exit (the CLI commands are the outermost layer,
     so nesting is not a concern).
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
             "service: --backend thread (default) fans a batch over a thread pool "
             "sharing one ego-network cache — best for cache-hot traffic, but the "
             "compiled kernel is GIL-bound, so it peaks near one core. --backend "
-            "process shards initiators across persistent worker processes, each "
+            "process shards initiators across worker processes it spawns, each "
             "holding its own graph copy and ego-network LRU cache; queries always "
             "route to the worker owning their initiator, so caches stay hot and "
             "popcount-heavy batches scale across cores. --backend serial is the "

@@ -13,8 +13,8 @@ The payoff is operational, not just asymptotic: the three arrays persist
 into one binary ``.stgq`` file (magic + JSON header + 64-byte-aligned raw
 array bytes) that workers open with ``np.memmap(..., mode="r")``.  N
 process or remote workers then share a single page-cache copy of the
-adjacency, and shipping a graph over pickle (process-pool initargs, cache
-invalidation broadcasts) degenerates to shipping *path + version hash* —
+adjacency, and shipping a graph over pickle (the state a process-backend
+child boots from) degenerates to shipping *path + version hash* —
 see :meth:`CSRGraph.__reduce__`.
 
 Requires numpy; import stays safe without it and :func:`csr_available`

@@ -21,7 +21,7 @@ stays mmap'd and shared; when the diff grows large, operators repack
 
 The overlay pickles by value *for the diff only* — the base substrate uses
 its own pickling contract (CSR graphs ship as a ``(path, version)``
-reference), so process-pool fan-out stays cheap.
+reference), so starting process-backend children stays cheap.
 """
 
 from __future__ import annotations

@@ -13,30 +13,28 @@ The service's batch path is a strategy object implementing
     cache-hot traffic, but the compiled kernel's popcount loops hold the GIL,
     so throughput stops scaling past roughly one core.
 
-``process``
-    Shard the workload by initiator across persistent single-worker process
-    pools (one :class:`~concurrent.futures.ProcessPoolExecutor` per shard).
-    Every worker holds its own copy of the social graph plus a private
-    ego-network LRU cache, and a query routes to the worker owning its
-    initiator — by CRC32 :class:`ShardMap` by default, or by a versioned
-    load-aware :class:`~repro.service.placement.PlacementMap` when one is
-    supplied — so caches stay hot without any cross-process invalidation.
-    This is the backend that scales the GIL-bound kernel across cores on
-    one box.
-
 ``remote``
-    The multi-node shape of ``process``: the same router duck type
-    (:class:`ShardMap` fallback or a :class:`PlacementMap` with replica
-    fan-out and failover), but each shard is a TCP worker (``stgq worker``)
-    behind a persistent framed connection instead of a local pool.  Lives in
-    :mod:`repro.service.net.remote`; needs worker addresses, so build it as
-    ``make_backend("remote", connect="host:p1,host:p2")`` or construct a
-    :class:`~repro.service.net.RemoteBackend` directly.
+    Shard the workload by initiator across TCP workers (``stgq worker``)
+    behind persistent framed connections.  Every worker holds its own copy
+    of the social graph plus a private ego-network LRU cache, and a query
+    routes to the worker owning its initiator — by CRC32
+    :class:`~repro.service.ShardMap` by default, or by a versioned
+    load-aware :class:`~repro.service.placement.PlacementMap` with replica
+    fan-out and failover — so caches stay hot without any cross-worker
+    invalidation.  A dead worker fails its shard's requests, not the batch.
+    Lives in :mod:`repro.service.net.remote`; needs worker addresses, so
+    build it as ``make_backend("remote", connect="host:p1,host:p2")`` or
+    construct a :class:`~repro.service.net.RemoteBackend` directly.
+
+``process``
+    ``remote`` over worker processes the backend spawns itself on
+    127.0.0.1, one per shard, started on the first batch.  This is the
+    backend that scales the GIL-bound kernel across cores on one box.
 
 Every ``solve_batch`` call receives the batch's
 :class:`~repro.service.context.ExecutionContext` and records all accounting
 into it: the in-process backends record per query as they solve, the
-sharded backends merge each worker's returned context *delta* — so
+sharded backends merge each answering worker's returned context *delta* — so
 ``service.stats()`` and ``service.cache_info()`` aggregate identically
 whichever backend ran the batch, and no backend ever snapshots or diffs
 service-global state.
@@ -45,18 +43,19 @@ service-global state.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
+import pickle
 import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from ..exceptions import QueryError
 from ..graph.mutations import MutationBatch
 from .context import ExecutionContext
+from .net.cluster import LocalWorkerCluster, start_service_workers
+from .net.remote import RemoteBackend, parse_addresses
 from .placement import PlacementMap
-from .sharding import ShardMap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .query_service import Query, QueryService, Result
@@ -129,15 +128,15 @@ class ExecutorBackend(Protocol):
         has applied the batch locally and evicted its own touched entries.
         Sharded backends forward the versioned delta to each worker (which
         applies it with targeted invalidation of its private cache); a
-        worker that reports a version gap is resynced via the full-reload
-        path.  Returns the total number of worker cache entries evicted.
+        worker that reports a version gap is resynced by a log replay or a
+        snapshot.  Returns the total number of worker cache entries evicted.
         In-process backends answer from the service's own cache — already
         invalidated — and return 0.
         """
         ...
 
     def close(self) -> None:
-        """Release pools and worker processes (no-op for stateless backends)."""
+        """Release threads and worker processes (no-op for stateless backends)."""
         ...
 
 
@@ -224,221 +223,83 @@ class ThreadBackend:
             pool.shutdown(wait=True)
 
 
-# ----------------------------------------------------------------------
-# process backend: worker side
-# ----------------------------------------------------------------------
-# One module-level service per worker process, created by the pool
-# initializer.  Each shard's pool has exactly one worker, so the service
-# (and its ego-network cache) persists across that shard's batches.
-_WORKER_SERVICE: Optional["QueryService"] = None
+class ProcessBackend(RemoteBackend):
+    """A :class:`~repro.service.net.RemoteBackend` over children it spawns itself.
 
-
-def _init_worker(graph, calendars, parameters, cache_size: int, live_version: int = 0) -> None:
-    """Pool initializer: build this worker's private serial service.
-
-    ``live_version`` pins the worker at the parent's position in the
-    mutation stream: pools that start lazily *after* mutations were applied
-    receive the already-mutated graph, so the worker must not believe it is
-    at version 0 (the next delta would look like a gap).
-    """
-    global _WORKER_SERVICE
-    from .query_service import QueryService
-
-    _WORKER_SERVICE = QueryService(
-        graph,
-        calendars,
-        parameters=parameters,
-        cache_size=cache_size,
-        backend="serial",
-    )
-    _WORKER_SERVICE._live_version = int(live_version)
-
-
-def _worker_reload(graph, calendars, live_version: int = 0) -> None:
-    """Refresh this worker's graph snapshot and drop its ego-network cache.
-
-    The broadcast target of :meth:`ProcessBackend.clear_caches` and the
-    version-gap fallback of :meth:`ProcessBackend.apply_mutations`: each
-    worker process holds a *copy* of the graph shipped at pool start, so
-    merely clearing its LRU would re-extract the same pre-change topology.
-    The parent ships its current graph/calendars along with the clear —
-    making ``QueryService.clear_cache()`` a true "the graph changed"
-    invalidation on the process backend — and pins the worker at the
-    parent's live version so subsequent deltas apply contiguously.
-    """
-    service = _WORKER_SERVICE
-    if service is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("process-pool worker used before initialisation")
-    with service._mutation_lock:
-        service.graph = graph
-        service.calendars = calendars
-        service._live_version = int(live_version)
-        service._mutation_log.clear()
-        service._availability_overrides = {}
-        service._vertex_epochs.clear()
-        service.clear_cache()
-
-
-def _worker_apply_delta(batch_wire: Dict) -> Tuple[str, int, int]:
-    """Apply one replicated mutation batch inside the worker process.
-
-    Returns ``(status, entries_evicted, live_version)`` where ``status`` is
-    the :meth:`QueryService.apply_delta` verdict (``applied`` / ``noop`` /
-    ``gap``).  On a gap the parent falls back to :func:`_worker_reload`.
-    """
-    service = _WORKER_SERVICE
-    if service is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("process-pool worker used before initialisation")
-    batch = MutationBatch.from_wire(batch_wire)
-    status, invalidated = service.apply_delta(batch)
-    return status, invalidated, service.live_version
-
-
-def _worker_rss() -> int:
-    """Resident set size of the calling process, in bytes.
-
-    Submitted to pool workers by :meth:`ProcessBackend.worker_rss` — the
-    observable that shows mmap-backed substrates working: N workers over one
-    ``.stgq`` file each stay far below the size of a pickled graph copy.
-    Must be module-level so forkserver workers can unpickle it by name.
-    """
-    try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:  # pragma: no cover - non-procfs platforms
-        pass
-    import resource  # pragma: no cover - non-procfs platforms
-
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # pragma: no cover
-
-
-def _worker_solve_batch(
-    queries: Sequence["Query"],
-) -> Tuple[List["Result"], Dict[str, float], int]:
-    """Solve one shard's slice of a batch inside the worker process.
-
-    The slice runs under its own :class:`ExecutionContext`, whose delta is
-    returned for the parent to merge — no before/after snapshot of the
-    worker's totals, so nothing in the worker ever needs to serialize
-    around this call.  Also returns the worker's current cache size.
-    """
-    service = _WORKER_SERVICE
-    if service is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("process-pool worker used before initialisation")
-    context = ExecutionContext()
-    results = service.solve_many(queries, context=context)
-    return results, context.as_delta(), service.cache_info().size
-
-
-def _shutdown_pools(pools: List[ProcessPoolExecutor], wait: bool = False) -> None:
-    """Shut down a list of pools (module-level so finalizers can hold it)."""
-    for pool in pools:
-        pool.shutdown(wait=wait)
-
-
-def _default_mp_context():
-    """Prefer ``forkserver``: safe to start lazily from a threaded process."""
-    try:
-        return multiprocessing.get_context("forkserver")
-    except ValueError:  # pragma: no cover - e.g. Windows
-        return multiprocessing.get_context()
-
-
-class ProcessBackend:
-    """Shard initiators across persistent single-worker process pools.
+    The first batch starts one child per shard
+    (:func:`~repro.service.net.cluster.start_service_workers`), bound to
+    that batch's service: each serves the service's graph, calendars,
+    search parameters, live version and an even share of its
+    ``cache_size`` (keys partition by initiator) as a serial service on an
+    ephemeral 127.0.0.1 port.  Routing, dispatch, stats-delta merging,
+    delta catch-up and replica failover are then the remote backend's, and
+    so is the failure model: a dead child turns its shard's queries into
+    :class:`~repro.service.codec.ErrorResult`\\ s while the other shards
+    answer, and the remote deadlines bound local batches too.  Vertex ids
+    must survive a JSON round trip.  :meth:`close` and :meth:`clear_caches`
+    stop the children; the next batch starts fresh ones.
 
     Parameters
     ----------
     workers:
-        Number of shards / worker processes (default: ``os.cpu_count()``,
+        Number of shards / child processes (default: ``os.cpu_count()``,
         or the placement map's shard count when one is given).
-    mp_context:
-        Optional :mod:`multiprocessing` context.  Defaults to ``forkserver``
-        where available (pools may be started lazily from an executor thread
-        — e.g. the asyncio front-end — and forking a multi-threaded process
-        is deadlock-prone and deprecated on Python 3.12+), else the platform
-        default (``spawn`` on Windows).
     placement:
         Optional :class:`~repro.service.placement.PlacementMap` replacing
-        the CRC32 :class:`ShardMap` fallback.  Its ``n_shards`` must match
-        ``workers``.  Because every pool worker holds the full graph,
-        routing is purely a cache-locality decision: any placement —
-        including replicated hot egos — returns results byte-identical to
-        serial (replicas may each build their own copy of a hot ego, so
-        cache misses can exceed serial by one per extra replica used).
-
-    Notes
-    -----
-    Worker pools start lazily on the first batch and are bound to that
-    service (its graph, calendars and search parameters are shipped to every
-    worker once, via the pool initializer).  The service-level ``cache_size``
-    is split evenly across workers — keys partition by initiator, so the
-    total capacity is comparable to the single-cache backends.
-
-    :meth:`update_placement` swaps the router *without* touching worker
-    caches: pool workers are keyed by shard id, so an initiator whose shard
-    did not change between map versions keeps its hot ego network.
+        the CRC32 :class:`~repro.service.ShardMap` fallback; its
+        ``n_shards`` must match ``workers``.  Every child holds the full
+        graph, so any placement returns results byte-identical to serial
+        (replicas may each build their own copy of a hot ego, so cache
+        misses can exceed serial by one per extra replica used).
     """
 
     name = "process"
 
     def __init__(
-        self,
-        workers: Optional[int] = None,
-        mp_context=None,
-        placement: Optional[PlacementMap] = None,
+        self, workers: Optional[int] = None, placement: Optional[PlacementMap] = None
     ) -> None:
-        if placement is not None and workers is not None and placement.n_shards != workers:
-            raise QueryError(
-                f"placement routes over {placement.n_shards} shards "
-                f"but the backend was asked for {workers} workers"
-            )
-        if placement is not None:
+        if workers is None and placement is not None:
             workers = placement.n_shards
-        self.workers = workers or os.cpu_count() or 1
-        self._mp_context = mp_context
-        self._router = placement if placement is not None else ShardMap(self.workers)
-        self._pools: Optional[List[ProcessPoolExecutor]] = None
+        # Routing state now; the links are attached once the children have
+        # started and announced their ports (see _ensure_started).
+        self._init_shards(workers or os.cpu_count() or 1, placement)
+        self._link_options: Tuple[float, ...] = ()  # the RemoteBackend defaults
+        self._children: Optional[LocalWorkerCluster] = None
         self._finalizer: Optional[weakref.finalize] = None
         self._bound_service: Optional["QueryService"] = None
-        self._cache_sizes: Dict[int, int] = {}
-        self._lock = threading.Lock()
+        self._start_lock = threading.Lock()
 
-    def _ensure_started(self, service: "QueryService") -> List[ProcessPoolExecutor]:
-        with self._lock:
-            if self._pools is not None:
+    def _ensure_started(self, service: "QueryService") -> None:
+        if self._children is not None and self._bound_service is service:
+            return
+        # Lock order: the service's mutation lock, then ours — the order
+        # apply_snapshot -> clear_caches -> close takes them in.  Holding
+        # the first keeps the shipped graph and live version consistent.
+        with service._mutation_lock, self._start_lock:
+            if self._children is not None:
                 if self._bound_service is not service:
                     raise QueryError(
                         "a ProcessBackend instance cannot be shared between services; "
                         "close() it first or give each service its own backend"
                     )
-                return self._pools
-            context = self._mp_context or _default_mp_context()
+                return
             per_worker_cache = max(1, -(-service.cache_size // self.workers))
-            initargs = (
-                service.graph,
-                service.calendars,
-                service.parameters,
-                per_worker_cache,
-                service.live_version,
-            )
-            self._pools = [
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    mp_context=context,
-                    initializer=_init_worker,
-                    initargs=initargs,
+            state = pickle.dumps(
+                (
+                    service.graph,
+                    service.calendars,
+                    service.parameters,
+                    per_worker_cache,
+                    service.live_version,
                 )
-                for _ in range(self.workers)
-            ]
-            # Safety net for callers that never close(): release the worker
-            # processes when the backend is garbage collected.
-            self._finalizer = weakref.finalize(self, _shutdown_pools, self._pools)
+            )
+            children = start_service_workers(self.workers, state)
+            # Safety net for callers that never close(): stop the children
+            # when the backend is garbage collected or the interpreter exits.
+            self._finalizer = weakref.finalize(self, children.close)
+            self._attach(parse_addresses(children.addresses))
+            self._children = children
             self._bound_service = service
-            self._cache_sizes = {}
-            return self._pools
 
     def solve_batch(
         self,
@@ -446,152 +307,83 @@ class ProcessBackend:
         queries: Sequence["Query"],
         context: ExecutionContext,
     ) -> List["Result"]:
-        pools = self._ensure_started(service)
-        parts = self._router.partition(queries)
-        futures = {
-            shard: pools[shard].submit(_worker_solve_batch, [query for _, query in entries])
-            for shard, entries in parts.items()
-        }
-        # Wait for every shard before merging anything into the batch
-        # context, so a failing shard leaves the stats all-or-nothing: a
-        # raised batch is never partially counted (worker-side cache state
-        # may still have advanced; only the parent's aggregate view is
-        # transactional).
-        outcomes = {}
-        error: Optional[BaseException] = None
-        for shard, future in futures.items():
-            try:
-                outcomes[shard] = future.result()
-            except BaseException as exc:
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
-        results: List[Optional["Result"]] = [None] * len(queries)
-        for shard, entries in parts.items():
-            shard_results, delta, cache_size = outcomes[shard]
-            for (index, _), result in zip(entries, shard_results):
-                results[index] = result
-                # Re-record worker-side kernel stats into the parent batch
-                # context: each result carries the exact SearchStats its
-                # solve recorded inside the worker, so the context's merged
-                # kernel view stays backend-invariant.
-                context.merge_search(result.stats)
-            context.merge_delta(delta)
-            self._cache_sizes[shard] = cache_size
-        return results  # type: ignore[return-value]
-
-    def cache_entries(self) -> Optional[int]:
-        return sum(self._cache_sizes.values())
-
-    @property
-    def placement_version(self) -> int:
-        """Version of the active routing map (0 = CRC32 fallback)."""
-        return self._router.version
-
-    def route_report(self) -> Dict[str, object]:
-        """The active router's rolling metrics (see ``RouteMetrics``)."""
-        return self._router.route_report()
+        self._ensure_started(service)
+        return super().solve_batch(service, queries, context)
 
     def update_placement(self, placement: PlacementMap) -> bool:
         """Adopt ``placement`` for subsequent batches; caches stay hot.
 
         Returns ``True`` when adopted, ``False`` when the map is not newer
         than the active one (same idempotence rule as the wire's
-        ``placement_update`` frame).  Worker pools are untouched: every
-        worker already holds the full graph, so a map swap only changes
-        which pool a future batch routes an initiator to — initiators whose
-        shard is unchanged between versions keep their hot cache entries.
-        Batches already partitioned keep their old routing; they remain
-        correct because any worker can answer any initiator.
+        ``placement_update`` frame).  This backend is its children's only
+        gateway, so the map stays here: a swap only changes which child a
+        future batch routes an initiator to, and initiators whose shard is
+        unchanged between versions keep their hot cache entries.  Batches
+        already partitioned keep their old routing; they remain correct
+        because any child can answer any initiator.
         """
-        if placement.n_shards != self.workers:
-            raise QueryError(
-                f"placement routes over {placement.n_shards} shards "
-                f"but this backend runs {self.workers} workers"
-            )
-        with self._lock:
-            if placement.version <= self._router.version:
-                return False
-            self._router = placement
-            return True
+        self._check_width(placement)
+        return self._adopt(placement)
 
     def worker_rss(self) -> Dict[int, int]:
-        """Resident set size (bytes) per started worker process.
+        """Resident set size (bytes) per running child, from ``/proc/<pid>/status``.
 
-        Returns ``{}`` before the pools have started.  Used by the substrate
-        benchmarks to verify that workers booted from an mmap'd ``.stgq``
-        file grow by page-cache *references*, not by a private graph copy.
+        Returns ``{}`` before the children have started.  Used by the
+        substrate benchmarks to verify that children booted from an mmap'd
+        ``.stgq`` file grow by page-cache *references*, not by a private
+        graph copy.
         """
-        with self._lock:
-            pools = self._pools
-        if pools is None:
+        children = self._children
+        if children is None:
             return {}
-        futures = {shard: pool.submit(_worker_rss) for shard, pool in enumerate(pools)}
-        return {shard: future.result() for shard, future in futures.items()}
+        return {shard: _rss_bytes(child.pid) for shard, child in enumerate(children.processes)}
 
     def clear_caches(self, service: "QueryService") -> None:
-        """Broadcast a cache clear + graph refresh to every pool worker.
+        """Stop the children; the next batch restarts them from ``service``.
 
-        Ships the service's *current* graph and calendars with the clear
-        (each worker owns a stale copy from pool start) and waits for every
-        worker to acknowledge before returning, so a subsequent batch can
-        never race a half-cleared fleet.  A backend whose pools have not
-        started yet has no worker caches to clear.
+        Each child holds the graph and calendars it was started with, so
+        clearing its LRU would re-extract the pre-change topology.  The
+        restart ships the service's *current* graph, calendars and live
+        version, which makes ``QueryService.clear_cache()`` a true "the
+        graph changed" invalidation on this backend.  Requests already
+        queued finish first; a batch that reaches a child after it stopped
+        gets ``ErrorResult``\\ s for that shard.
         """
-        with self._lock:
-            pools = self._pools
-            if pools is None:
-                return
-            self._cache_sizes = {}
-        graph, calendars = service.graph, service.calendars
-        live = service.live_version
-        futures = [pool.submit(_worker_reload, graph, calendars, live) for pool in pools]
-        for future in futures:
-            future.result()
+        self.close()
 
     def apply_mutations(self, service: "QueryService", batch: MutationBatch) -> int:
-        """Broadcast a versioned delta to every pool worker.
+        """Forward a versioned delta to every child; returns their evictions.
 
-        Pools that have not started yet have no worker state to update —
-        they will boot from the already-mutated graph at the current live
-        version.  Every mutation can touch egos on any shard (the reverse
-        index keys by *contained* vertex, not initiator), so the delta goes
-        to all workers; a worker reporting a version gap is resynced with a
-        full :func:`_worker_reload`.  Returns total worker entries evicted.
+        Children that have not started yet have no state to update: they
+        boot from the already-mutated graph at the current live version.
         """
-        with self._lock:
-            pools = self._pools
-        if pools is None:
+        if self._children is None:
             return 0
-        wire = batch.as_wire()
-        futures = [pool.submit(_worker_apply_delta, wire) for pool in pools]
-        total = 0
-        stale: List[int] = []
-        for shard, future in enumerate(futures):
-            status, invalidated, _version = future.result()
-            if status == "applied":
-                total += invalidated
-            elif status == "gap":
-                stale.append(shard)
-        if stale:
-            graph, calendars = service.graph, service.calendars
-            live = service.live_version
-            reloads = [pools[shard].submit(_worker_reload, graph, calendars, live) for shard in stale]
-            for future in reloads:
-                future.result()
-        return total
+        return super().apply_mutations(service, batch)
 
     def close(self) -> None:
-        with self._lock:
-            pools, self._pools = self._pools, None
+        """Finish in-flight requests, then stop the children (idempotent)."""
+        with self._start_lock:
+            children, self._children = self._children, None
             finalizer, self._finalizer = self._finalizer, None
             self._bound_service = None
-            self._cache_sizes = {}
         if finalizer is not None:
             finalizer.detach()
-        if pools is not None:
-            _shutdown_pools(pools, wait=True)
+        super().close()
+        if children is not None:
+            children.close()
+
+
+def _rss_bytes(pid: int) -> int:
+    """``VmRSS`` of process ``pid`` in bytes (0 when it cannot be read)."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:  # exited, or no procfs on this platform
+        pass
+    return 0
 
 
 def make_backend(
@@ -630,11 +422,6 @@ def make_backend(
                 "backend 'remote' needs worker addresses: "
                 "make_backend('remote', connect='host:port,host:port')"
             )
-        # Deferred import: a top-level one would be circular (importing
-        # .net runs net.worker, which imports query_service, which imports
-        # this module before it finishes defining the backend classes).
-        from .net.remote import RemoteBackend
-
         if timeout is not None:
             return RemoteBackend(connect, timeout=timeout, placement=placement)
         return RemoteBackend(connect, placement=placement)

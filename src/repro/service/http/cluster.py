@@ -13,17 +13,15 @@ to stand up the 2-gateways-over-2-workers topology.
 from __future__ import annotations
 
 import json
-import queue
 import subprocess
 import sys
-import threading
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ...exceptions import WorkerUnavailableError
-from ..net.cluster import _repro_env
+from ..net.cluster import _await_ready, _repro_env, _stop_processes
 from .app import READY_MARKER
 
 __all__ = ["LocalGatewayCluster", "start_local_gateways"]
@@ -38,21 +36,7 @@ class LocalGatewayCluster:
 
     def close(self, timeout: float = 30.0) -> None:
         """SIGTERM every gateway (they drain in-flight requests), then reap."""
-        import time
-
-        for process in self.processes:
-            if process.poll() is None:
-                process.terminate()
-        deadline = time.monotonic() + timeout
-        for process in self.processes:
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                process.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-            if process.stdout is not None:
-                process.stdout.close()
+        _stop_processes(self.processes, timeout)
         self.processes = []
         self.urls = []
 
@@ -61,41 +45,6 @@ class LocalGatewayCluster:
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self.close()
-
-
-def _await_http_ready(process: subprocess.Popen, startup_timeout: float) -> str:
-    """Read stdout until the gateway's READY line; returns its base URL.
-
-    Same daemon-reader-thread trick as the worker launcher (see
-    ``net/cluster._await_ready`` for why ``select``/bare ``readline`` both
-    fail here).
-    """
-    outcome: "queue.Queue[Optional[str]]" = queue.Queue()
-
-    def _pump() -> None:
-        assert process.stdout is not None
-        try:
-            for line in iter(process.stdout.readline, ""):
-                parts = line.split()
-                if len(parts) == 3 and parts[0] == READY_MARKER:
-                    outcome.put(f"http://{parts[1]}:{parts[2]}")
-                    return
-        except (OSError, ValueError):  # pipe closed under us during cleanup
-            pass
-        outcome.put(None)
-
-    threading.Thread(target=_pump, name="stgq-http-ready", daemon=True).start()
-    try:
-        url = outcome.get(timeout=startup_timeout)
-    except queue.Empty:
-        raise WorkerUnavailableError(
-            f"gateway did not announce readiness within {startup_timeout}s"
-        ) from None
-    if url is None:
-        raise WorkerUnavailableError(
-            f"gateway process exited (code {process.poll()}) before announcing readiness"
-        )
-    return url
 
 
 def _probe_health(url: str, timeout: float = 10.0) -> None:
@@ -186,7 +135,8 @@ def start_local_gateways(
                 )
             )
         for process in cluster.processes:
-            url = _await_http_ready(process, startup_timeout)
+            host, port = _await_ready(process, READY_MARKER, startup_timeout, "gateway")
+            url = f"http://{host}:{port}"
             _probe_health(url)
             cluster.urls.append(url)
     except BaseException:

@@ -202,9 +202,9 @@ async def _solve_entries(service: QueryService, entries: List[_Entry]) -> List[U
     try:
         return list(await service.solve_many_async(queries))
     except Exception as exc:  # pragma: no cover - defensive backstop
-        # Covers both library errors and executor failures (e.g. a broken
-        # process pool after a worker died): answer the batch with errors
-        # instead of killing the loop.
+        # Covers both library errors and executor failures (e.g. process
+        # backend children that could not start): answer the batch with
+        # errors instead of killing the loop.
         return [str(exc) or type(exc).__name__] * len(queries)
 
 

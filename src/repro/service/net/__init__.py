@@ -10,12 +10,15 @@ This package scales the service layer past one box, the step the
   local :class:`~repro.service.QueryService` (``stgq worker --listen``).
 * :mod:`~repro.service.net.remote` — :class:`RemoteBackend`, the drop-in
   executor backend that shards initiators across persistent worker
-  connections through the same CRC32 :class:`~repro.service.ShardMap` the
-  process backend uses, and degrades dead workers to per-request error
-  results instead of failed batches.
-* :mod:`~repro.service.net.cluster` — a launcher for one-command local
-  clusters (``stgq cluster --workers N``): worker subprocesses plus a
-  gateway service connected to them.
+  connections (CRC32 :class:`~repro.service.ShardMap` or a
+  :class:`~repro.service.PlacementMap`), one FIFO queue per worker, and
+  degrades dead workers to per-request error results instead of failed
+  batches.  It is the only sharded dispatch path: the ``process`` backend
+  is a ``RemoteBackend`` over workers it spawns on 127.0.0.1.
+* :mod:`~repro.service.net.cluster` — the local launcher: worker
+  subprocesses for one-command clusters (``stgq cluster --workers N``), the
+  ``process`` backend's children, and the helpers the HTTP gateway
+  launcher shares.
 
 See ``docs/service.md`` for the full architecture page and wire-protocol
 specification.

@@ -1,14 +1,14 @@
-"""Local cluster launcher: worker subprocesses for one-command clusters.
+"""Local launcher: serving subprocesses on this machine.
 
-``stgq cluster --workers N`` (and the remote leg of
-``benchmarks/bench_service.py``) needs N worker processes serving the same
-seeded dataset before a gateway can connect.  :func:`start_local_workers`
-spawns them with ``python -m repro worker --listen 127.0.0.1:0 ...``, reads
-each worker's ``STGQ-WORKER-READY host port`` announcement off its stdout
-to learn the ephemeral ports, and confirms liveness with a ``ping`` control
-frame.  The returned :class:`LocalWorkerCluster` terminates the
-subprocesses on ``close()`` (SIGTERM first — the workers' signal handlers
-drain their services — then SIGKILL for stragglers).
+:func:`start_local_workers` spawns ``python -m repro worker --listen
+127.0.0.1:0 ...`` processes serving one seeded dataset (``stgq cluster``,
+the remote leg of ``benchmarks/bench_service.py``);
+:func:`start_service_workers` spawns the children of a
+:class:`~repro.service.ProcessBackend`; the HTTP gateway launcher reuses the
+helpers.  Every child prints ``<READY marker> host port`` once it listens:
+:func:`_await_ready` reads it off the child's stdout, and
+:func:`_stop_processes` tears children down — SIGTERM first (their signal
+handlers drain in-flight requests), then SIGKILL for stragglers.
 
 This is the local, laptop-scale deployment; the same worker command behind
 a k8s Service is the multi-node shape the ROADMAP points at.
@@ -24,14 +24,14 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from ...exceptions import ProtocolError, WorkerUnavailableError
 from .protocol import client_handshake, recv_frame, send_frame
 from .remote import parse_addresses
 from .worker import READY_MARKER
 
-__all__ = ["LocalWorkerCluster", "start_local_workers"]
+__all__ = ["LocalWorkerCluster", "start_local_workers", "start_service_workers"]
 
 
 @dataclass
@@ -47,19 +47,7 @@ class LocalWorkerCluster:
 
     def close(self, timeout: float = 10.0) -> None:
         """Terminate every worker (graceful SIGTERM, then SIGKILL)."""
-        for process in self.processes:
-            if process.poll() is None:
-                process.terminate()
-        deadline = time.monotonic() + timeout
-        for process in self.processes:
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                process.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-            if process.stdout is not None:
-                process.stdout.close()
+        _stop_processes(self.processes, timeout)
         self.processes = []
         self.addresses = []
 
@@ -81,44 +69,67 @@ def _repro_env() -> dict:
     return env
 
 
-def _await_ready(process: subprocess.Popen, startup_timeout: float) -> str:
-    """Read a worker's stdout until its READY line; returns ``host:port``.
+def _await_ready(
+    process: subprocess.Popen, marker: str, startup_timeout: float, role: str = "worker"
+) -> Tuple[str, str]:
+    """Read a child's stdout until its ``marker host port`` line; returns ``(host, port)``.
 
     A daemon reader thread performs the blocking ``readline`` calls and the
     launcher waits on a queue with the deadline — the same trick as
     jsonl's ``_RequestReader``, and for the same reasons: ``select`` on the
     text wrapper misses lines already pulled into its buffer and cannot
     poll pipes at all on some platforms, while a bare ``readline`` would
-    ignore ``startup_timeout`` entirely for a worker that hangs silently.
+    ignore ``startup_timeout`` entirely for a child that hangs silently.
     A timed-out reader thread stays parked on ``readline`` until the
     caller's cleanup terminates the process (EOF releases it).
     """
-    outcome: "queue.Queue[Optional[str]]" = queue.Queue()
+    outcome: "queue.Queue[Optional[Tuple[str, str]]]" = queue.Queue()
 
     def _pump() -> None:
         assert process.stdout is not None
         try:
             for line in iter(process.stdout.readline, ""):
                 parts = line.split()
-                if len(parts) == 3 and parts[0] == READY_MARKER:
-                    outcome.put(f"{parts[1]}:{parts[2]}")
+                if len(parts) == 3 and parts[0] == marker:
+                    outcome.put((parts[1], parts[2]))
                     return
         except (OSError, ValueError):  # pipe closed under us during cleanup
             pass
         outcome.put(None)  # EOF without a READY line
 
-    threading.Thread(target=_pump, name="stgq-cluster-ready", daemon=True).start()
+    threading.Thread(target=_pump, name=f"stgq-{role}-ready", daemon=True).start()
     try:
         address = outcome.get(timeout=startup_timeout)
     except queue.Empty:
         raise WorkerUnavailableError(
-            f"worker did not announce readiness within {startup_timeout}s"
+            f"{role} did not announce readiness within {startup_timeout}s"
         ) from None
     if address is None:
         raise WorkerUnavailableError(
-            f"worker process exited (code {process.poll()}) before announcing readiness"
+            f"{role} process exited (code {process.poll()}) before announcing readiness"
         )
     return address
+
+
+def _stop_processes(processes: Sequence[subprocess.Popen], timeout: float) -> None:
+    """SIGTERM every live process, SIGKILL those still running after ``timeout``."""
+    for process in processes:
+        if process.poll() is None:
+            process.terminate()
+    deadline = time.monotonic() + timeout
+    for process in processes:
+        remaining = max(0.1, deadline - time.monotonic())
+        try:
+            process.wait(timeout=remaining)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+        for pipe in (process.stdin, process.stdout):
+            if pipe is not None:
+                try:
+                    pipe.close()
+                except OSError:  # unflushed state for a child that died first
+                    pass
 
 
 def _ping(address: str, timeout: float = 5.0) -> None:
@@ -135,6 +146,47 @@ def _ping(address: str, timeout: float = 5.0) -> None:
         raise WorkerUnavailableError(f"worker {address} failed the handshake: {exc}") from exc
     except OSError as exc:
         raise WorkerUnavailableError(f"cannot reach spawned worker {address}: {exc}") from exc
+
+
+def _launch(
+    command: List[str], count: int, startup_timeout: float, state: Optional[bytes] = None
+) -> LocalWorkerCluster:
+    """Spawn ``count`` workers running ``command`` and wait until each is pinged.
+
+    ``state``, when given, is written to every worker's stdin, which then
+    stays open: the worker exits when it closes.  On any startup failure the
+    already-spawned workers are torn down.
+    """
+    if count < 1:
+        raise WorkerUnavailableError(f"worker count must be >= 1, got {count}")
+    cluster = LocalWorkerCluster()
+    env = _repro_env()
+    try:
+        for _ in range(count):
+            cluster.processes.append(
+                subprocess.Popen(
+                    command,
+                    stdin=subprocess.PIPE if state is not None else None,
+                    stdout=subprocess.PIPE,
+                    env=env,
+                    text=True,
+                    bufsize=1,  # line buffered: the READY line arrives promptly
+                )
+            )
+        if state is not None:
+            for process in cluster.processes:
+                assert process.stdin is not None
+                process.stdin.buffer.write(state)
+                process.stdin.buffer.flush()
+        for process in cluster.processes:
+            host, port = _await_ready(process, READY_MARKER, startup_timeout)
+            address = f"{host}:{port}"
+            _ping(address)
+            cluster.addresses.append(address)
+    except BaseException:
+        cluster.close()
+        raise
+    return cluster
 
 
 def start_local_workers(
@@ -159,9 +211,6 @@ def start_local_workers(
     so the fleet boots already holding the load-aware map instead of waiting
     for a ``placement_update`` push.
     """
-    if count < 1:
-        raise WorkerUnavailableError(f"worker count must be >= 1, got {count}")
-    cluster = LocalWorkerCluster()
     command = [
         sys.executable,
         "-m",
@@ -186,23 +235,24 @@ def start_local_workers(
         command += ["--workers", str(workers)]
     if placement is not None:
         command += ["--placement", str(placement)]
-    env = _repro_env()
-    try:
-        for _ in range(count):
-            cluster.processes.append(
-                subprocess.Popen(
-                    command,
-                    stdout=subprocess.PIPE,
-                    env=env,
-                    text=True,
-                    bufsize=1,  # line buffered: the READY line arrives promptly
-                )
-            )
-        for process in cluster.processes:
-            address = _await_ready(process, startup_timeout)
-            _ping(address)
-            cluster.addresses.append(address)
-    except BaseException:
-        cluster.close()
-        raise
-    return cluster
+    return _launch(command, count, startup_timeout)
+
+
+def start_service_workers(
+    count: int, state: bytes, startup_timeout: float = 120.0
+) -> LocalWorkerCluster:
+    """Spawn ``count`` workers that each serve the pickled service ``state``.
+
+    ``state`` is what :func:`~repro.service.net.worker.run_spawned_worker`
+    unpickles: ``(graph, calendars, parameters, cache_size, live_version)``.
+    Each worker is a serial service on an ephemeral 127.0.0.1 port; it
+    exits, drained, on SIGTERM or when the launcher's end of its stdin
+    closes, so a worker never outlives the process that spawned it.
+    """
+    command = [
+        sys.executable,
+        "-c",
+        "from repro.service.net.worker import run_spawned_worker; "
+        "raise SystemExit(run_spawned_worker())",
+    ]
+    return _launch(command, count, startup_timeout, state)

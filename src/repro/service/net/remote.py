@@ -1,33 +1,35 @@
-"""RemoteBackend: the executor backend that runs batches on remote workers.
+"""RemoteBackend: the executor backend that runs batches on socket workers.
 
 Drop-in implementation of the :class:`~repro.service.ExecutorBackend`
 protocol — a :class:`~repro.service.QueryService` built with
-``backend=RemoteBackend("host:a,host:b")`` behaves like one built with
-``backend="process"``, except the shards live behind sockets instead of
-``ProcessPoolExecutor``\\ s:
+``backend=RemoteBackend("host:a,host:b")`` shards its batches across the
+``stgq worker`` processes at those addresses.  It is also the one sharded
+dispatch path of the ``process`` backend:
+:class:`~repro.service.ProcessBackend` is a ``RemoteBackend`` whose workers
+are children it spawns on 127.0.0.1 itself.
 
-* **Routing** — each query's initiator maps to a worker through the same
-  router duck type the process backend uses: the CRC32
-  :class:`~repro.service.ShardMap` fallback by default, or a versioned
-  :class:`~repro.service.placement.PlacementMap` for load-aware
-  deployments — so a worker's ego-network cache stays hot for its share of
-  users and a gateway restart lands every initiator on the same worker
-  again.  A replicated hot ego fans out round-robin across its replica
-  workers, and when its routed worker is down the sub-batch **fails over**
-  to a surviving replica instead of degrading to errors.  Gateways also
+* **Routing** — each query's initiator maps to a worker through a router
+  duck type: the CRC32 :class:`~repro.service.ShardMap` fallback by
+  default, or a versioned :class:`~repro.service.placement.PlacementMap`
+  for load-aware deployments — so a worker's ego-network cache stays hot
+  for its share of users and a gateway restart lands every initiator on
+  the same worker again.  A replicated hot ego fans out round-robin across
+  its replica workers, and when its routed worker is down the sub-batch
+  **fails over** to a surviving replica instead of degrading to errors.  Gateways also
   *adopt* newer maps mid-flight: every ``batch_result`` advertises the
   worker's stored placement version, and a gateway seeing a newer one
   fetches the map with a ``placement_get`` frame — so ``placement_update``
   pushed at any one point reaches the whole tier without restarts.
-* **Pipelining** — one persistent connection per worker; a batch is split
-  into per-shard sub-batches that are dispatched concurrently, so every
-  worker solves its slice while the others solve theirs.
+* **Pipelining** — one persistent connection per worker, fed by its own
+  FIFO queue; a batch is split into per-shard sub-batches that are
+  dispatched concurrently, so every worker solves its slice while the
+  others solve theirs, and a stalled worker backs up only its own shard.
 * **Stats invariance** — each ``batch_result`` carries the stats *delta*
   the sub-batch's :class:`~repro.service.context.ExecutionContext` produced
   inside the worker; deltas are merged into the gateway batch's own context
-  only after every shard resolved (all-or-nothing, exactly like the process
-  backend), so ``stats()``/``cache_info()`` report the same numbers
-  whichever backend answered.
+  only after every shard resolved (all-or-nothing per shard), so
+  ``stats()``/``cache_info()`` report the same numbers whichever backend
+  answered.
 * **Failure containment** — a dead or timed-out worker degrades to
   :class:`~repro.service.codec.ErrorResult` entries for the requests routed
   to it; the rest of the batch succeeds.  Reconnection uses exponential
@@ -41,8 +43,19 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ...exceptions import ProtocolError, QueryError, WorkerUnavailableError
 from ..codec import ErrorResult, decode_result, request_for
@@ -92,23 +105,27 @@ def parse_addresses(connect: Union[str, Iterable[Union[str, Address]]]) -> List[
 class _WorkerLink:
     """One persistent, lazily-(re)connected framed connection to a worker.
 
-    A lock serialises request/response pairs on the connection; concurrent
-    batches to *different* workers proceed in parallel (the backend fans
-    out over a thread pool).  Connection failures open a fail-fast window
-    that grows exponentially (``backoff_base * 2**failures``, capped), so
-    while a worker is down its shard's requests error out immediately
-    instead of each paying a connect timeout.
+    A lock serialises request/response pairs on the connection.  The
+    backend's fan-out goes through :meth:`submit`, one FIFO queue per link,
+    so concurrent batches to *different* workers proceed in parallel and a
+    stalled worker never holds up another shard's requests.  Connection
+    failures open a fail-fast window that grows exponentially
+    (``backoff_base * 2**failures``, capped), so while a worker is down its
+    shard's requests error out immediately instead of each paying a connect
+    timeout.  The defaults are :class:`RemoteBackend`'s.
     """
 
     def __init__(
         self,
+        shard: int,
         address: Address,
-        timeout: float,
-        connect_timeout: float,
-        backoff_base: float,
-        backoff_cap: float,
-        max_batch_timeout: float,
+        timeout: float = 30.0,
+        connect_timeout: float = 5.0,
+        backoff_base: float = 0.05,
+        backoff_cap: float = 2.0,
+        max_batch_timeout: float = 300.0,
     ) -> None:
+        self.shard = shard
         self.address = address
         self.timeout = timeout
         self.connect_timeout = connect_timeout
@@ -119,6 +136,8 @@ class _WorkerLink:
         self._lock = threading.Lock()
         self._failures = 0
         self._retry_at = 0.0
+        self._queue: Optional[ThreadPoolExecutor] = None
+        self._queue_lock = threading.Lock()
 
     @property
     def label(self) -> str:
@@ -218,7 +237,21 @@ class _WorkerLink:
         with self._lock:
             self._retry_at = 0.0
 
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Queue ``fn(self, *args)`` on this link's own FIFO thread."""
+        with self._queue_lock:
+            if self._queue is None:
+                self._queue = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix=f"stgq-shard{self.shard}"
+                )
+            return self._queue.submit(fn, self, *args)
+
     def close(self) -> None:
+        """Finish the queued requests, then drop the connection."""
+        with self._queue_lock:
+            queue, self._queue = self._queue, None
+        if queue is not None:
+            queue.shutdown(wait=True)
         with self._lock:
             self._drop_locked()
 
@@ -278,37 +311,41 @@ class RemoteBackend:
     ) -> None:
         if timeout <= 0 or connect_timeout <= 0 or max_batch_timeout <= 0:
             raise QueryError("timeouts must be positive")
-        self.addresses = parse_addresses(connect)
-        self.workers = len(self.addresses)
-        if placement is not None and placement.n_shards != self.workers:
-            raise QueryError(
-                f"placement routes over {placement.n_shards} shards "
-                f"but {self.workers} worker addresses were given"
-            )
-        self._router = placement if placement is not None else ShardMap(self.workers)
+        addresses = parse_addresses(connect)
+        self._init_shards(len(addresses), placement)
+        self._link_options = (
+            timeout,
+            connect_timeout,
+            backoff_base,
+            backoff_cap,
+            max_batch_timeout,
+        )
+        self._attach(addresses)
+
+    def _init_shards(self, workers: int, placement: Optional[PlacementMap]) -> None:
+        """Routing and accounting state; :meth:`_attach` adds the links."""
+        self.workers = workers
+        if placement is not None:
+            self._check_width(placement)
+        self._router = placement if placement is not None else ShardMap(workers)
         self._route_lock = threading.Lock()
         self._failover_queries = 0
         self._failover_batches = 0
-        self._links = [
-            _WorkerLink(
-                address, timeout, connect_timeout, backoff_base, backoff_cap, max_batch_timeout
-            )
-            for address in self.addresses
-        ]
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         self._cache_sizes: Dict[int, int] = {}
+        self._cache_lock = threading.Lock()
+        self.addresses: List[Address] = []
+        self._links: List[_WorkerLink] = []
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="stgq-remote"
-                )
-            return self._pool
+    def _attach(self, addresses: List[Address]) -> None:
+        """Point shard ``i`` at ``addresses[i]`` through a fresh link."""
+        self._links = [
+            _WorkerLink(shard, address, *self._link_options)
+            for shard, address in enumerate(addresses)
+        ]
+        self.addresses = addresses
 
     def _request_shard(
-        self, shard: int, queries: Sequence["Query"]
+        self, link: _WorkerLink, queries: Sequence["Query"]
     ) -> Tuple[List["Result"], Dict[str, float], int, int]:
         """Round-trip one shard's sub-batch.
 
@@ -317,10 +354,9 @@ class RemoteBackend:
         ``batch_result``, which is how a gateway discovers a map pushed
         through some *other* gateway (see :meth:`_maybe_adopt`).
         """
-        link = self._links[shard]
         frame = {
             "type": "batch",
-            "id": shard,
+            "id": link.shard,
             "requests": [request_for(query) for query in queries],
         }
         reply = link.request(frame, budget=len(queries))
@@ -347,7 +383,7 @@ class RemoteBackend:
                         f"worker {link.label} sent an undecodable result: {exc}"
                     ) from exc
         # Metadata is untrusted worker output too: malformed values must
-        # degrade this shard, not escape the pool future and crash the
+        # degrade this shard, not escape the queue future and crash the
         # whole batch past the per-shard containment.
         delta = reply.get("stats_delta")
         if not isinstance(delta, dict):
@@ -378,9 +414,9 @@ class RemoteBackend:
         # so the in-flight batch stays correct under the old map).
         router = self._router
         parts = router.partition(queries)
-        pool = self._ensure_pool()
+        links = self._links
         futures = {
-            shard: pool.submit(self._request_shard, shard, [query for _, query in entries])
+            shard: links[shard].submit(self._request_shard, [query for _, query in entries])
             for shard, entries in parts.items()
         }
         # Collect every shard before merging any stats into the batch
@@ -422,9 +458,7 @@ class RemoteBackend:
         retry_outcomes: Dict[int, Tuple[List["Result"], Dict[str, float], int, int]] = {}
         if retry_parts:
             retry_futures = {
-                target: pool.submit(
-                    self._request_shard, target, [query for _, query in entries]
-                )
+                target: links[target].submit(self._request_shard, [query for _, query in entries])
                 for target, entries in retry_parts.items()
             }
             for target, future in retry_futures.items():
@@ -468,7 +502,7 @@ class RemoteBackend:
             # Replace wholesale (readers iterate their own snapshot, never
             # a resizing dict) and merge under the lock (two concurrent
             # batches must not lose each other's shard entries).
-            with self._pool_lock:
+            with self._cache_lock:
                 self._cache_sizes = {**self._cache_sizes, **cache_updates}
         if recovered:
             with self._route_lock:
@@ -511,19 +545,30 @@ class RemoteBackend:
             placement = PlacementMap.from_wire(wire)
         except QueryError:
             return
-        if placement.n_shards != self.workers:
-            return
-        with self._route_lock:
-            if placement.version > self._router.version:
-                self._router = placement
+        if placement.n_shards == self.workers:
+            self._adopt(placement)
 
-    def _clear_one(self, shard: int, extras: Optional[Dict] = None) -> Optional[str]:
+    def _check_width(self, placement: PlacementMap) -> None:
+        if placement.n_shards != self.workers:
+            raise QueryError(
+                f"placement routes over {placement.n_shards} shards "
+                f"but this backend runs {self.workers} workers"
+            )
+
+    def _adopt(self, placement: PlacementMap) -> bool:
+        """Route later batches by ``placement`` if it is newer; returns whether it was."""
+        with self._route_lock:
+            if placement.version <= self._router.version:
+                return False
+            self._router = placement
+            return True
+
+    def _clear_one(self, link: _WorkerLink, extras: Optional[Dict] = None) -> Optional[str]:
         """Clear one worker's cache; return an error description or ``None``."""
-        link = self._links[shard]
         # Invalidation must actually try every worker: a link parked in its
         # reconnect-backoff window may front a worker that is healthy again.
         link.reset_backoff()
-        frame = {"type": "cache_clear", "id": shard}
+        frame = {"type": "cache_clear", "id": link.shard}
         if extras:
             frame.update(extras)
         try:
@@ -543,8 +588,8 @@ class RemoteBackend:
         is attempted, and if any could not be cleared a
         :class:`~repro.exceptions.WorkerUnavailableError` naming them is
         raised (the caller knows the invalidation is incomplete and can
-        retry once the workers are back).  The frames fan out over the same
-        thread pool batches use, so the wall clock is bounded by the
+        retry once the workers are back).  The frames fan out through the
+        per-shard queues batches use, so the wall clock is bounded by the
         slowest worker, not the sum over a partitioned fleet.
 
         When the gateway's graph is substrate-backed (it exposes a
@@ -556,10 +601,9 @@ class RemoteBackend:
         graph_path = getattr(service.graph, "path", None)
         if graph_path is not None:
             extras = {"graph_path": graph_path, "graph_version": service.graph.version}
-        pool = self._ensure_pool()
-        futures = [pool.submit(self._clear_one, shard, extras) for shard in range(self.workers)]
+        futures = [link.submit(self._clear_one, extras) for link in self._links]
         failures = [error for error in (future.result() for future in futures) if error]
-        with self._pool_lock:
+        with self._cache_lock:
             self._cache_sizes = {}
         if failures:
             raise WorkerUnavailableError("cache clear incomplete: " + "; ".join(failures))
@@ -567,13 +611,12 @@ class RemoteBackend:
     # ------------------------------------------------------------------
     # live-graph mutation distribution (docs/live_graph.md)
     # ------------------------------------------------------------------
-    def _delta_one(self, shard: int, batch_wire: Dict) -> Tuple[str, int, int]:
+    def _delta_one(self, link: _WorkerLink, batch_wire: Dict) -> Tuple[str, int, int]:
         """Ship one delta frame; returns (status, invalidated, worker_version)."""
-        link = self._links[shard]
         # Like cache invalidation, mutation distribution is a correctness
         # operation: every worker must actually be attempted, backoff or not.
         link.reset_backoff()
-        reply = link.request({"type": "delta", "id": shard, "batch": batch_wire})
+        reply = link.request({"type": "delta", "id": link.shard, "batch": batch_wire})
         if reply.get("type") != "delta_result":
             raise WorkerUnavailableError(
                 f"worker {link.label} answered a delta with {reply.get('type')!r}"
@@ -589,14 +632,13 @@ class RemoteBackend:
                 f"worker {link.label} sent a malformed delta result: {exc}"
             ) from exc
 
-    def _catch_up(self, shard: int, frames: List[Dict], target: int) -> int:
+    def _catch_up(self, link: _WorkerLink, frames: List[Dict], target: int) -> int:
         """Replay pre-built catch-up frames to one worker; returns evictions.
 
         The frames are either a contiguous chain of delta frames (log
         replay) or a single snapshot frame; either way the worker must end
         at ``target`` or the distribution is incomplete.
         """
-        link = self._links[shard]
         invalidated = 0
         version = -1
         for frame in frames:
@@ -659,14 +701,12 @@ class RemoteBackend:
         Called by :meth:`QueryService.apply_mutations` while it holds the
         service's mutation lock (an RLock owned by *this* thread), so the
         catch-up material — log chains, the snapshot payload — is built
-        here on the calling thread; pool threads only ship pre-built
+        here on the calling thread; the shard queues only ship pre-built
         frames and never touch the service.
         """
-        pool = self._ensure_pool()
+        links = self._links
         wire = batch.as_wire()
-        futures = {
-            shard: pool.submit(self._delta_one, shard, wire) for shard in range(self.workers)
-        }
+        futures = {shard: link.submit(self._delta_one, wire) for shard, link in enumerate(links)}
         gaps: Dict[int, int] = {}
         failures: Dict[int, str] = {}
         total = 0
@@ -694,7 +734,7 @@ class RemoteBackend:
                         snapshot_frame = self._snapshot_frame(service)
                     plans[shard] = [dict(snapshot_frame, id=shard)]
             catch_futures = {
-                shard: pool.submit(self._catch_up, shard, frames, batch.to_version)
+                shard: links[shard].submit(self._catch_up, frames, batch.to_version)
                 for shard, frames in plans.items()
             }
             for shard, future in catch_futures.items():
@@ -712,13 +752,12 @@ class RemoteBackend:
     # ------------------------------------------------------------------
     # placement distribution (docs/placement.md)
     # ------------------------------------------------------------------
-    def _placement_one(self, shard: int, wire: Dict) -> str:
+    def _placement_one(self, link: _WorkerLink, wire: Dict) -> str:
         """Push one ``placement_update`` frame; returns the worker's status."""
-        link = self._links[shard]
         # Like cache invalidation, placement distribution is a correctness
         # operation: every worker must actually be attempted, backoff or not.
         link.reset_backoff()
-        reply = link.request({"type": "placement_update", "id": shard, "map": wire})
+        reply = link.request({"type": "placement_update", "id": link.shard, "map": wire})
         if reply.get("type") != "placement_applied":
             raise WorkerUnavailableError(
                 f"worker {link.label} answered placement_update with {reply.get('type')!r}"
@@ -743,16 +782,10 @@ class RemoteBackend:
         hot ego networks, which is the whole point of versioned maps over
         re-hashing.
         """
-        if placement.n_shards != self.workers:
-            raise QueryError(
-                f"placement routes over {placement.n_shards} shards "
-                f"but this backend connects {self.workers} workers"
-            )
-        pool = self._ensure_pool()
+        self._check_width(placement)
         wire = placement.as_wire()
         futures = {
-            shard: pool.submit(self._placement_one, shard, wire)
-            for shard in range(self.workers)
+            shard: link.submit(self._placement_one, wire) for shard, link in enumerate(self._links)
         }
         statuses: Dict[int, str] = {}
         failures: Dict[int, str] = {}
@@ -766,9 +799,7 @@ class RemoteBackend:
                 "placement distribution incomplete: "
                 + "; ".join(failures[shard] for shard in sorted(failures))
             )
-        with self._route_lock:
-            if placement.version > self._router.version:
-                self._router = placement
+        self._adopt(placement)
         return statuses
 
     @property
@@ -799,11 +830,7 @@ class RemoteBackend:
         return sum(sizes.values())
 
     def close(self) -> None:
-        """Close connections and the fan-out pool (workers keep running)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Drain the shard queues and close connections (workers keep running)."""
         for link in self._links:
             link.close()
         self._cache_sizes = {}

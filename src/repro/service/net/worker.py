@@ -36,19 +36,24 @@ versioned distribution point for the fleet's routing decision.
 from __future__ import annotations
 
 import asyncio
+import os
+import pickle
 import signal
 import sys
-from typing import Any, Dict, List, Optional, Set, TextIO, Tuple
+import threading
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, TextIO, Tuple
 
 from ...exceptions import ProtocolError, QueryError, ReproError
 from ...graph.mutations import MutationBatch
 from ..codec import encode_result, query_from_request, wants_stats
 from ..context import ExecutionContext
 from ..placement import PlacementMap
-from ..query_service import Query, QueryService
 from .protocol import PROTOCOL_VERSION, read_frame, write_frame
 
-__all__ = ["WorkerServer", "run_worker", "READY_MARKER"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..query_service import Query, QueryService
+
+__all__ = ["WorkerServer", "run_spawned_worker", "run_worker", "READY_MARKER"]
 
 #: First token of the line a worker prints once it is accepting connections;
 #: the cluster launcher parses ``READY_MARKER <host> <port>`` from stdout.
@@ -224,17 +229,15 @@ class WorkerServer:
             # Gateway-initiated invalidation (QueryService.clear_cache on a
             # remote backend): drop every cached ego network, including any
             # held by this worker's own executor backend.  Runs off-loop —
-            # a process-backend clear blocks on its pool workers, and the
-            # event loop must keep serving other connections' frames
-            # meanwhile.  A failed clear is answered in-band so the
-            # gateway can report the incomplete invalidation.
+            # a process-backend clear stops its children, and the event
+            # loop must keep serving other connections' frames meanwhile.
+            # A failed clear is answered in-band so the gateway can report
+            # the incomplete invalidation.
             #
             # When the gateway's graph is substrate-backed, the frame also
             # carries ``graph_path``/``graph_version``: the worker re-opens
             # that ``.stgq`` file (mmap'd, version-checked) before clearing,
-            # making the clear a true "the graph changed" invalidation —
-            # the remote twin of ProcessBackend shipping its graph in
-            # ``_worker_reload``.
+            # making the clear a true "the graph changed" invalidation.
             loop = asyncio.get_running_loop()
             graph_path = frame.get("graph_path")
             graph_version = frame.get("graph_version")
@@ -258,9 +261,9 @@ class WorkerServer:
             # frame idempotent (a retried delta is a "noop") and turns any
             # out-of-order delivery into an explicit "gap" the gateway
             # answers with a log replay or a snapshot.  Runs off-loop: the
-            # service takes its mutation lock and may broadcast to its own
-            # process pools, and other connections' batches must keep
-            # flowing meanwhile.
+            # service takes its mutation lock and may forward the delta to
+            # its own process-backend children, and other connections'
+            # batches must keep flowing meanwhile.
             loop = asyncio.get_running_loop()
             try:
                 batch = MutationBatch.from_wire(frame.get("batch"))
@@ -382,8 +385,8 @@ class WorkerServer:
 
         Runs on the executor, never on the event loop.  The version check
         catches a file that changed (or differs across nodes) underneath
-        the fleet; the subsequent ``clear_cache`` then broadcasts the new
-        graph to any pool workers this service itself runs.
+        the fleet; the subsequent ``clear_cache`` then restarts any
+        process-backend children this service itself runs on the new graph.
         """
         from ...graph.csr import load_stgq
 
@@ -451,7 +454,7 @@ class WorkerServer:
         if queries:
             try:
                 results = list(await self.service.solve_many_async(queries, context=context))
-            except Exception as exc:  # e.g. a broken executor pool
+            except Exception as exc:  # e.g. process-backend children that cannot start
                 solve_error = str(exc) or type(exc).__name__
         if solve_error is not None:
             # Every request is being answered with an error: ship no delta,
@@ -538,3 +541,36 @@ def run_worker(
         print("worker interrupted; shutting down", file=sys.stderr)
         return 130
     return 0
+
+
+def run_spawned_worker() -> int:
+    """Entry point of a :class:`~repro.service.ProcessBackend` child.
+
+    Unpickles ``(graph, calendars, parameters, cache_size, live_version)``
+    from stdin, serves it as a serial :class:`QueryService` pinned at that
+    live version, and announces its ephemeral 127.0.0.1 port on stdout
+    like ``stgq worker`` (see
+    :func:`~repro.service.net.cluster.start_service_workers`).  Stdin stays
+    open after the state: end-of-file means the parent closed it or died,
+    and the child then stops itself with the same drained SIGTERM path, so
+    it never outlives the backend that spawned it.
+    """
+    from ..query_service import QueryService
+
+    stdin = sys.stdin.buffer
+    graph, calendars, parameters, cache_size, live_version = pickle.load(stdin)
+    service = QueryService(
+        graph, calendars, parameters=parameters, cache_size=cache_size, backend="serial"
+    )
+    service._live_version = live_version
+
+    def _stop_at_eof() -> None:
+        # Raw reads: a daemon thread parked inside the buffered reader
+        # would hold its lock through interpreter shutdown.
+        while os.read(stdin.fileno(), 4096):
+            pass
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    threading.Thread(target=_stop_at_eof, name="stgq-parent-watch", daemon=True).start()
+    with service:
+        return run_worker(service, announce=sys.stdout)

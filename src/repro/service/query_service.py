@@ -36,7 +36,7 @@ from ..graph.overlay import GraphOverlay
 from ..graph.social_graph import SocialGraph
 from ..temporal.calendars import CalendarStore
 from ..types import Vertex
-from .backends import ExecutorBackend, ThreadBackend, make_backend
+from .backends import ExecutorBackend, make_backend
 from .placement import PlacementMap
 from .context import ExecutionContext, ServiceStats
 
@@ -120,20 +120,24 @@ class QueryService:
         Maximum number of ``(initiator, radius)`` ego networks to keep
         (feasible graph + its compiled form).  Least-recently-used entries
         are evicted beyond that.  The ``process`` backend splits this budget
-        evenly across its workers (keys partition by initiator).
+        evenly across its children (keys partition by initiator).
     max_workers:
         Executor width for :meth:`solve_many`: threads for the ``thread``
-        backend, worker processes (= shards) for ``process``.  Defaults to
-        ``min(32, os.cpu_count() + 4)`` threads / ``os.cpu_count()``
-        processes.
+        backend, child worker processes (= shards) for ``process``.
+        Defaults to ``min(32, os.cpu_count() + 4)`` threads /
+        ``os.cpu_count()`` processes.
     backend:
         Batch execution strategy — ``"serial"``, ``"thread"`` (default) or
         ``"process"``, or a ready :class:`~repro.service.ExecutorBackend`
         instance.  See :mod:`repro.service.backends` for the trade-offs:
         ``thread`` shares this service's ego-network cache and wins on
         cache-hot traffic; ``process`` shards initiators across worker
-        processes, each holding its own graph copy and cache, and scales the
-        GIL-bound compiled kernel across cores.
+        processes it spawns on 127.0.0.1, each holding its own graph copy
+        and cache, and scales the GIL-bound compiled kernel across cores.
+        It is the ``remote`` backend over local children, so a dead child
+        fails its shard's queries (as ``ErrorResult``\\ s), not the whole
+        batch, and the remote deadlines bound its batches; vertex ids must
+        survive a JSON round trip.
     placement:
         Optional :class:`~repro.service.placement.PlacementMap` routing the
         ``process`` backend by observed load instead of the CRC32 fallback
@@ -167,7 +171,7 @@ class QueryService:
     worker as a versioned delta (see ``docs/live_graph.md``).
 
     The service is a context manager; ``close()`` (or leaving the ``with``
-    block) releases backend pools and worker processes.
+    block) releases backend threads and worker processes.
     """
 
     def __init__(
@@ -326,8 +330,8 @@ class QueryService:
         """Drop every cached ego network (e.g. after the graph changed).
 
         Reaches *every* cache the service's backend answers from, not just
-        the front-end one: the ``process`` backend broadcasts the clear to
-        its pool workers (re-shipping the current graph/calendars, so a
+        the front-end one: the ``process`` backend stops its children (the
+        next batch restarts them from the current graph/calendars, so a
         mutated graph is actually reloaded), and the ``remote`` backend
         sends a ``cache_clear`` control frame to every TCP worker.  The
         generation bump invalidates builds still in flight: a build that
@@ -374,7 +378,7 @@ class QueryService:
         version by one per mutation, evicts exactly the cached egos that
         contain a touched vertex (via the reverse vertex index), appends
         the batch to the catch-up log, and fans the versioned delta out
-        through the backend (process-pool broadcast / TCP delta frames).
+        through the backend (delta frames to every TCP or child worker).
 
         Error semantics: mutations apply in order; if one fails (e.g.
         ``remove_edge`` on a missing edge raises
@@ -388,7 +392,7 @@ class QueryService:
             From the failing mutation, after the applied prefix has been
             distributed.
         WorkerUnavailableError
-            On the ``remote`` backend when a worker could not be brought to
+            On the sharded backends when a worker could not be brought to
             the target version (the fleet would be serving mixed versions).
         """
         run: List[Mutation] = list(mutations)
@@ -627,18 +631,12 @@ class QueryService:
         return result
 
     def solve_many(
-        self,
-        queries: Iterable[Query],
-        max_workers: Optional[int] = None,
-        context: Optional[ExecutionContext] = None,
+        self, queries: Iterable[Query], context: Optional[ExecutionContext] = None
     ) -> List[Result]:
         """Answer a batch of independent queries concurrently.
 
         Results are returned in the order of ``queries`` regardless of
-        completion order.  Execution is delegated to the configured backend;
-        ``max_workers`` overrides the pool width for this call only on the
-        ``thread`` backend (kept for backward compatibility — process pools
-        are persistent and keep their shard count).
+        completion order.  Execution is delegated to the configured backend.
 
         ``context`` (optional) is the batch's accounting scope: pass a fresh
         :class:`~repro.service.context.ExecutionContext` to read this
@@ -653,14 +651,7 @@ class QueryService:
         for query in batch:
             self._validate(query)
         ctx = context if context is not None else ExecutionContext()
-        if max_workers is not None and self._backend.name == "thread":
-            override = ThreadBackend(max_workers)
-            try:
-                results = override.solve_batch(self, batch, ctx)
-            finally:
-                override.close()
-        else:
-            results = self._backend.solve_batch(self, batch, ctx)
+        results = self._backend.solve_batch(self, batch, ctx)
         self._merge_context(ctx)
         return results
 
@@ -673,31 +664,29 @@ class QueryService:
         return await loop.run_in_executor(None, self.solve, query)
 
     async def solve_many_async(
-        self,
-        queries: Iterable[Query],
-        max_workers: Optional[int] = None,
-        context: Optional[ExecutionContext] = None,
+        self, queries: Iterable[Query], context: Optional[ExecutionContext] = None
     ) -> List[Result]:
         """Awaitable :meth:`solve_many` for pipelining batches.
 
         The batch runs on the event loop's default executor, so an asyncio
         front-end (e.g. the ``stgq serve --jsonl`` loop or the TCP worker)
         can overlap reading and writing one batch with solving the next.
-        With the ``process`` backend the heavy lifting happens outside the
-        GIL entirely, so several in-flight batches genuinely run in
-        parallel.  ``context`` is forwarded to :meth:`solve_many` — each
-        in-flight batch gets its own, so their deltas never smear.
+        With the ``process`` backend the heavy lifting happens in the child
+        processes, outside this interpreter's GIL, so several in-flight
+        batches genuinely run in parallel.  ``context`` is forwarded to
+        :meth:`solve_many` — each in-flight batch gets its own, so their
+        deltas never smear.
         """
         batch: Sequence[Query] = list(queries)
         loop = asyncio.get_running_loop()
-        call = functools.partial(self.solve_many, batch, max_workers, context)
+        call = functools.partial(self.solve_many, batch, context)
         return await loop.run_in_executor(None, call)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release backend pools and worker processes (idempotent)."""
+        """Release backend threads and worker processes (idempotent)."""
         self._backend.close()
 
     def __enter__(self) -> "QueryService":

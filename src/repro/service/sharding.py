@@ -55,7 +55,7 @@ def stable_shard(vertex: Vertex, n_shards: int) -> int:
     """Map ``vertex`` to a shard id in ``[0, n_shards)``.
 
     The mapping is deterministic across processes and Python invocations
-    (CRC32 of the vertex ``repr``), so a parent and its pool workers always
+    (CRC32 of the vertex ``repr``), so a gateway and its workers always
     agree on which worker owns an initiator.  This requires vertex ids with
     *value-based* reprs — ints, strings, tuples thereof (what every dataset
     in this package uses).  Custom vertex objects that keep the default

@@ -6,7 +6,9 @@ pure deployment decision: for any seeded workload, ``serial``, ``thread`` and
 stats (wall-clock excluded).
 """
 
+import os
 import random
+import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,12 +19,14 @@ from repro.exceptions import QueryError
 from repro.experiments.workloads import workload
 from repro.service import (
     BACKEND_NAMES,
+    ErrorResult,
     ProcessBackend,
     QueryService,
     SerialBackend,
     ThreadBackend,
     make_backend,
 )
+from repro.service.sharding import stable_shard
 
 #: Deterministic counters that must match across backends (``solve_seconds``
 #: is wall-clock and legitimately differs).
@@ -229,6 +233,41 @@ class TestProcessBackend:
                 service.solve(query)
             with pytest.raises(QueryError):
                 service.solve_many([query])
+
+    def test_dead_child_fails_only_its_shard(self, dataset):
+        # A SIGKILLed child fails the queries routed to it; the live shard
+        # still answers, and only its answers are counted.
+        owners = {0: [], 1: []}
+        for person in dataset.people:
+            owners[stable_shard(person, 2)].append(person)
+        batch = [
+            SGQuery(initiator=person, group_size=3, radius=1, acquaintance=1)
+            for person in owners[0][:2] + owners[1][:2]
+        ]
+        reference = [
+            (r.feasible, r.members, r.total_distance)
+            for r in QueryService(dataset.graph, dataset.calendars).solve_many(batch)
+        ]
+        backend = ProcessBackend(workers=2)
+        with QueryService(dataset.graph, dataset.calendars, backend=backend) as service:
+            service.solve(batch[0])  # starts both children
+            victim = backend._children.processes[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.wait(10)
+            before = service.stats().queries
+            results = service.solve_many(batch)
+            assert all(isinstance(r, ErrorResult) for r in results[:2])
+            assert [(r.feasible, r.members, r.total_distance) for r in results[2:]] == (
+                reference[2:]
+            )
+            assert service.stats().queries - before == 2
+            health = backend.worker_stats()
+            assert health[0] is None and health[1] is not None
+            # close() stops the survivor; the next batch restarts both.
+            service.close()
+            results = service.solve_many(batch)
+            assert [(r.feasible, r.members, r.total_distance) for r in results] == reference
+            assert all(snapshot is not None for snapshot in backend.worker_stats())
 
 
 class TestBackendConstruction:

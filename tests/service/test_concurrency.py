@@ -16,10 +16,12 @@ import time
 
 import pytest
 
+from repro.core import SGQuery
 from repro.experiments.workloads import workload
-from repro.service import ExecutionContext, QueryService, RemoteBackend
+from repro.service import ErrorResult, ExecutionContext, QueryService, RemoteBackend
 from repro.service.codec import request_for
 from repro.service.net.protocol import client_handshake, recv_frame, send_frame
+from repro.service.sharding import stable_shard
 
 from .test_backends import DETERMINISTIC_COUNTERS, build_batch, run_backend
 from .test_net import WorkerHarness
@@ -50,9 +52,9 @@ class TestConcurrentBatchFrames:
         barrier = threading.Barrier(2)
         original = harness.service.solve_many
 
-        def synced_solve_many(queries, max_workers=None, context=None):
+        def synced_solve_many(queries, context=None):
             barrier.wait(timeout=15)
-            return original(queries, max_workers, context)
+            return original(queries, context)
 
         harness.service.solve_many = synced_solve_many
         batch = build_batch(dataset, seed=21, n_queries=4, n_initiators=3, stg_fraction=0.0)
@@ -344,10 +346,10 @@ class TestConcurrencyTiming:
         harness = WorkerHarness(dataset).start()
         original = harness.service.solve_many
 
-        def sleepy_solve_many(queries, max_workers=None, context=None):
+        def sleepy_solve_many(queries, context=None):
             if len(queries) > 1:
                 time.sleep(1.5)
-            return original(queries, max_workers, context)
+            return original(queries, context)
 
         harness.service.solve_many = sleepy_solve_many
         batch = build_batch(dataset, seed=61, n_queries=6, n_initiators=3, stg_fraction=0.0)
@@ -389,3 +391,43 @@ class TestConcurrencyTiming:
             "connection's slow batch — worker is serializing again"
         )
         assert slow_reply["frame"]["type"] == "batch_result"
+
+    def test_stalled_shard_does_not_block_other_shards(self, dataset):
+        # Shard 0's worker stalls with two gateway batches in flight for
+        # it.  A one-query batch for shard 1 must not queue behind them: a
+        # fan-out pool shared by all shards (and as wide as their count)
+        # would hold it until the stall ends.
+        workers = [WorkerHarness(dataset).start() for _ in range(2)]
+        original = workers[0].service.solve_many
+
+        def stalled_solve_many(queries, context=None):
+            time.sleep(1.5)
+            return original(queries, context)
+
+        workers[0].service.solve_many = stalled_solve_many
+        owners = {stable_shard(person, 2): person for person in dataset.people}
+        stalled = SGQuery(initiator=owners[0], group_size=3, radius=1, acquaintance=1)
+        fast = SGQuery(initiator=owners[1], group_size=3, radius=1, acquaintance=1)
+        backend = RemoteBackend([worker.address for worker in workers], timeout=30.0)
+        try:
+            with QueryService(dataset.graph, dataset.calendars, backend=backend) as service:
+                gateways = [
+                    threading.Thread(target=service.solve_many, args=([stalled],))
+                    for _ in range(2)
+                ]
+                for thread in gateways:
+                    thread.start()
+                time.sleep(0.2)  # both stalled batches are now queued on shard 0
+                start = time.monotonic()
+                result = service.solve(fast)
+                fast_elapsed = time.monotonic() - start
+                for thread in gateways:
+                    thread.join(30)
+        finally:
+            workers[0].service.solve_many = original
+            for worker in workers:
+                worker.stop()
+        assert not isinstance(result, ErrorResult)
+        assert fast_elapsed < 0.5, (
+            f"shard-1 batch waited {fast_elapsed:.2f}s behind shard 0's stalled batches"
+        )

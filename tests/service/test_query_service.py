@@ -320,7 +320,7 @@ class TestStats:
             SGQuery(initiator=initiator, group_size=3, radius=1, acquaintance=1)
             for initiator in (0, 1, 0)
         ]
-        results = service.solve_many(queries, max_workers=2)
+        results = service.solve_many(queries)
         stats = service.stats()
         assert stats.queries == 3
         assert stats.sg_queries == 3
