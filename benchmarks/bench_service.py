@@ -10,17 +10,17 @@ Three measurements back the compiled-kernel + QueryService work:
    Disable with ``--no-kernel-sweep`` (e.g. in per-backend CI legs).
 2. **Cache-hot SGQ batch** — a mixed-initiator radius-1 batch: sub-millisecond
    per query once the ego-network cache is warm, so it measures executor
-   overhead (the thread backend usually wins here; process pays IPC).
+   overhead (process pays a loopback round trip per batch).
 3. **Solver-bound STGQ batch** — a radius-2 social-temporal batch at tens of
    milliseconds of popcount-heavy kernel work per query.  This is the
-   GIL-bound regime: the thread backend flatlines near one core while the
+   GIL-bound regime: the serial backend runs on one core while the
    initiator-sharded process backend scales with ``--workers``.
 
-``--backend process`` (or ``serial``) measures the thread backend too and
-prints a comparison table, so one run demonstrates the scaling claim.
+``--backend process`` measures the serial backend too and prints a
+comparison table, so one run demonstrates the scaling claim.
 ``--backend remote`` spawns a local TCP worker cluster (``--workers``
 processes via ``stgq worker``) and measures the network gateway next to the
-thread baseline — the cluster column of the comparison.  ``--skew ALPHA``
+serial baseline — the cluster column of the comparison.  ``--skew ALPHA``
 swaps the uniform batches for the Zipfian mixed-radius workload generator
 (``repro.experiments.workloads.generate_query_workload``) and reports
 per-shard load balance, stressing LRU eviction and shard skew instead of
@@ -387,17 +387,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--backend",
-        choices=["serial", "thread", "process", "remote"],
-        default="thread",
-        help="backend to benchmark; 'thread' is always measured as the "
+        choices=["serial", "process", "remote"],
+        default="serial",
+        help="backend to benchmark; 'serial' is always measured as the "
         "comparison baseline. 'remote' spawns a local worker cluster "
-        "(--workers processes) and measures the network gateway (default thread)",
+        "(--workers processes) and measures the network gateway (default serial)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="executor width for the selected backend; for --backend remote "
+        help="worker processes for --backend process; for --backend remote "
         "this is the number of spawned TCP workers (default: auto / 2)",
     )
     parser.add_argument(
@@ -585,8 +585,8 @@ def main(argv=None) -> int:
             )
             print(f"workers ready at {cluster.connect_spec()}")
 
-        backends_to_measure = ["thread"]
-        if args.backend != "thread":
+        backends_to_measure = ["serial"]
+        if args.backend != "serial":
             backends_to_measure.append(args.backend)
         for backend in backends_to_measure:
             if backend == "remote":
@@ -649,7 +649,7 @@ def main(argv=None) -> int:
 
     if args.replay is not None:
         # Per-shard routed counts for the replayed trace: how the measured
-        # (or, for thread/serial, an equally wide hypothetical) sharded
+        # (or, for serial, an equally wide hypothetical) sharded
         # deployment splits this exact workload.  Recorded into the replay
         # summary so a saved trace's JSON artifact answers "which worker
         # would soak this?" without re-running the benchmark.
@@ -672,8 +672,8 @@ def main(argv=None) -> int:
 
     if args.skew is not None:
         # Report balance for the shard layout that was actually measured.
-        # Only the sharded backends route by initiator; for thread/serial
-        # the report is the hypothetical split a sharded deployment of the
+        # Only the sharded backends route by initiator; for serial the
+        # report is the hypothetical split a sharded deployment of the
         # same width would see, and is labelled as such.
         if args.backend in ("process", "remote"):
             n_shards = report["backends"][args.backend]["workers"]
@@ -714,12 +714,12 @@ def main(argv=None) -> int:
         for kind in kinds:
             row += f" {measured[kind]['qps']:>12.1f}"
         print(row + f" {measured[heavy]['wall_s']:>11.2f}s")
-    if args.backend in report["backends"] and args.backend != "thread":
-        thread_qps = report["backends"]["thread"][heavy]["qps"]
+    if args.backend != "serial":
+        serial_qps = report["backends"]["serial"][heavy]["qps"]
         chosen_qps = report["backends"][args.backend][heavy]["qps"]
         print(
-            f"\n{heavy} {args.backend} vs thread: {chosen_qps / thread_qps:.2f}x "
-            f"({chosen_qps:.1f} vs {thread_qps:.1f} q/s)"
+            f"\n{heavy} {args.backend} vs serial: {chosen_qps / serial_qps:.2f}x "
+            f"({chosen_qps:.1f} vs {serial_qps:.1f} q/s)"
         )
 
     if args.json:

@@ -4,16 +4,15 @@ The single-query examples construct a solver per call; a deployed
 activity-planning backend instead keeps one :class:`repro.service.QueryService`
 alive next to the social graph and lets it amortise work across queries:
 extracted ego networks (and their compiled bitset form) are LRU-cached per
-``(initiator, radius)``, and batches fan out over an executor backend.
+``(initiator, radius)``, and batches run on an executor backend.
 
 Scaling the service
 -------------------
 ``QueryService(..., backend=...)`` picks the execution strategy:
 
-* ``backend="thread"`` (default) — one shared ego-network cache, a thread
-  pool per batch.  Cheap to start and fastest for cache-hot traffic, but the
-  compiled kernel's popcount loops hold the GIL, so throughput saturates
-  around one core no matter how many threads you add.
+* ``backend="serial"`` (default) — the in-process loop over one shared
+  ego-network cache.  Cheap to start and fastest for cache-hot traffic, but
+  the compiled kernel's popcount loops hold the GIL, so it uses one core.
 * ``backend="process"`` — the workload is *sharded by initiator* across
   worker processes the service spawns on 127.0.0.1.  Each worker holds its
   own copy of the graph plus a private ego-network LRU cache, and every
@@ -24,7 +23,6 @@ Scaling the service
   loopback per batch.  It is ``RemoteBackend`` over local children: a
   dead child fails its shard's queries (``ErrorResult``), not the batch,
   the remote deadlines apply, and vertex ids must survive JSON.
-* ``backend="serial"`` — the in-process loop, for debugging and baselines.
 * ``backend=RemoteBackend(...)`` — the multi-node shape: the same sharding
   across ``stgq worker`` TCP processes on any machine.  See
   ``examples/cluster_quickstart.py`` and ``docs/service.md``.
@@ -109,7 +107,7 @@ def main() -> None:
     #    process backend.  Each child worker process owns a shard of the
     #    users — its own graph copy plus a private ego-network cache — so the
     #    GIL-bound kernel work runs on every core at once.  Results and
-    #    aggregate stats are identical to the thread backend by contract
+    #    aggregate stats are identical to the serial backend by contract
     #    (see tests/service/test_backends.py); only the wall clock changes.
     with QueryService(
         dataset.graph, dataset.calendars, cache_size=64, backend="process", max_workers=2

@@ -13,11 +13,10 @@ Three sub-commands mirror how the library is typically used:
 
 ``stgq serve``
     Answer queries through the cached :class:`~repro.service.QueryService`
-    on a selectable executor backend
-    (``--backend serial|thread|process|remote``), either as a generated
-    benchmark batch or as a JSONL request loop over stdin/stdout
-    (``--jsonl``).  ``--backend remote --connect host:p1,host:p2`` turns the
-    process into a cluster gateway.
+    on a selectable executor backend (``--backend serial|process|remote``,
+    default ``serial``), either as a generated benchmark batch or as a
+    JSONL request loop over stdin/stdout (``--jsonl``).  ``--backend remote
+    --connect host:p1,host:p2`` turns the process into a cluster gateway.
 
 ``stgq worker``
     Serve a local QueryService over the framed TCP protocol
@@ -67,7 +66,7 @@ Three sub-commands mirror how the library is typically used:
     format revision, content version hash) without loading the arrays.
 
 ``serve``/``worker``/``cluster``/``http`` install SIGINT/SIGTERM handlers
-that close the service first (draining executor threads, worker processes and
+that close the service first (draining worker processes, link threads and
 sockets), so Ctrl-C never leaks process-backend children.  The serving loops
 (``serve --jsonl``, ``worker``, ``http``) drain *in-flight requests* before
 exiting — see :mod:`repro.service.drain` — so a mid-batch SIGTERM drops no
@@ -131,7 +130,7 @@ def _listen_address(text: str) -> Tuple[str, int]:
 def _graceful_shutdown() -> Iterator[None]:
     """Translate SIGINT/SIGTERM into ``SystemExit`` for the enclosing scope.
 
-    A raised ``SystemExit`` unwinds the ``with service:`` block, so executor
+    A raised ``SystemExit`` unwinds the ``with service:`` block, so link
     threads, process-backend children and sockets are drained instead of leaked when
     the operator hits Ctrl-C or an orchestrator sends SIGTERM.  The previous
     handlers are restored on exit (the CLI commands are the outermost layer,
@@ -190,6 +189,27 @@ def _resolve_placement(args: argparse.Namespace):
     if replicas is not None:
         placement = placement.with_replicas(replicas)
     return placement
+
+
+def _resolve_backend(args: argparse.Namespace):
+    """``(backend, placement)`` for ``serve``/``http``'s backend flag group.
+
+    ``--backend remote`` becomes a :class:`RemoteBackend` that owns the
+    placement map (so the returned placement is ``None``); the other
+    backends stay names for :class:`QueryService`.  Raises
+    :class:`QueryError` on usage mistakes (missing ``--connect``, a
+    placement on a backend that does not route, a bad ``--timeout``).
+    """
+    placement = _resolve_placement(args)
+    if placement is not None and args.backend not in ("process", "remote"):
+        raise QueryError(
+            f"--placement applies to --backend process or remote, not {args.backend!r}"
+        )
+    if args.backend != "remote":
+        return args.backend, placement
+    if not args.connect:
+        raise QueryError("--backend remote requires --connect host:port[,host:port...]")
+    return RemoteBackend(args.connect, timeout=args.timeout, placement=placement), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,6 +288,38 @@ def build_parser() -> argparse.ArgumentParser:
             "slow executable specification)",
         )
 
+    def add_backend_arguments(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "--backend",
+            choices=list(ALL_BACKEND_NAMES),
+            default="serial",
+            help=(
+                "executor backend: 'serial' (in-process loop over one ego cache), "
+                "'process' (initiator-sharded worker processes, one graph copy + "
+                "ego cache each; scales across cores), 'remote' (initiator-sharded "
+                "TCP workers; needs --connect) (default serial)"
+            ),
+        )
+        sub.add_argument(
+            "--workers",
+            type=_positive_int,
+            default=None,
+            help="worker processes (= shards) for --backend process (default: auto)",
+        )
+        sub.add_argument(
+            "--connect",
+            default=None,
+            help="worker addresses for --backend remote, e.g. "
+            "'127.0.0.1:9001,127.0.0.1:9002' (shard count = address count)",
+        )
+        sub.add_argument(
+            "--timeout",
+            type=float,
+            default=30.0,
+            help="per-request timeout in seconds for --backend remote (default 30)",
+        )
+        _add_placement_arguments(sub)
+
     def add_traffic_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--queries", type=int, default=100, help="batch size (default 100)")
         sub.add_argument(
@@ -304,54 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer queries through the cached QueryService (selectable executor backend)",
         description=(
             "Serve SGQ/STGQ traffic through the cached QueryService. Scaling the "
-            "service: --backend thread (default) fans a batch over a thread pool "
-            "sharing one ego-network cache — best for cache-hot traffic, but the "
-            "compiled kernel is GIL-bound, so it peaks near one core. --backend "
-            "process shards initiators across worker processes it spawns, each "
-            "holding its own graph copy and ego-network LRU cache; queries always "
-            "route to the worker owning their initiator, so caches stay hot and "
-            "popcount-heavy batches scale across cores. --backend serial is the "
-            "single-threaded baseline. --backend remote --connect host:p1,host:p2 "
-            "shards the same way across stgq worker processes over TCP — the "
-            "cluster gateway. With --jsonl the command turns into a stdin/stdout "
-            "JSONL request loop (one request per line, responses in request "
-            "order) instead of generating a synthetic batch."
+            "service: --backend serial (default) solves in-process against one "
+            "ego-network cache; the compiled kernel is GIL-bound, so it uses one "
+            "core. --backend process shards initiators across worker processes it "
+            "spawns, each holding its own graph copy and ego-network LRU cache; "
+            "queries always route to the worker owning their initiator, so caches "
+            "stay hot and popcount-heavy batches scale across cores. --backend "
+            "remote --connect host:p1,host:p2 shards the same way across stgq "
+            "worker processes over TCP — the cluster gateway. With --jsonl the "
+            "command turns into a stdin/stdout JSONL request loop (one request "
+            "per line, responses in request order) instead of generating a "
+            "synthetic batch."
         ),
     )
     add_dataset_arguments(serve)
     add_substrate_argument(serve)
     add_traffic_arguments(serve)
-    serve.add_argument(
-        "--backend",
-        choices=list(ALL_BACKEND_NAMES),
-        default="thread",
-        help=(
-            "executor backend: 'serial' (in-process loop), 'thread' (shared-cache "
-            "pool; GIL-bound), 'process' (initiator-sharded worker processes, one "
-            "graph copy + ego cache each; scales across cores), 'remote' "
-            "(initiator-sharded TCP workers; needs --connect) (default thread)"
-        ),
-    )
-    serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="executor width: threads for --backend thread, worker processes "
-        "(= shards) for --backend process (default: auto)",
-    )
-    serve.add_argument(
-        "--connect",
-        default=None,
-        help="worker addresses for --backend remote, e.g. "
-        "'127.0.0.1:9001,127.0.0.1:9002' (shard count = address count)",
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="per-request timeout in seconds for --backend remote (default 30)",
-    )
-    _add_placement_arguments(serve)
+    add_backend_arguments(serve)
     add_service_arguments(serve)
 
     worker = subparsers.add_parser(
@@ -386,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="executor width of the local backend (default: auto)",
+        help="worker processes (= shards) for --backend process (default: auto)",
     )
     _add_placement_arguments(worker)
     add_service_arguments(worker)
@@ -452,32 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_dataset_arguments(http)
     add_substrate_argument(http)
-    http.add_argument(
-        "--backend",
-        choices=list(ALL_BACKEND_NAMES),
-        default="serial",
-        help="executor backend behind the gateway; 'remote' fronts a TCP "
-        "worker fleet via --connect (default serial)",
-    )
-    http.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="executor width for thread/process backends (default: auto)",
-    )
-    http.add_argument(
-        "--connect",
-        default=None,
-        help="worker addresses for --backend remote, e.g. "
-        "'127.0.0.1:9001,127.0.0.1:9002'",
-    )
-    http.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="per-request timeout in seconds for --backend remote (default 30)",
-    )
-    _add_placement_arguments(http)
+    add_backend_arguments(http)
     add_service_arguments(http)
     http.add_argument(
         "--max-concurrency",
@@ -900,7 +896,7 @@ def _build_gateway_service(
         dataset.calendars,
         parameters=SearchParameters(kernel=args.kernel),
         cache_size=args.cache_size,
-        max_workers=getattr(args, "workers", None),
+        max_workers=args.workers,
         backend=backend,
         placement=placement,
     )
@@ -913,33 +909,10 @@ def _shutdown_code(exc: SystemExit) -> int:
 
 def _command_serve(args: argparse.Namespace) -> int:
     # Usage mistakes (missing/malformed --connect, bad --timeout, a junk
-    # --placement file) are answered like argparse does (stderr + exit 2),
-    # not a traceback.
+    # --placement file, a missing --graph) are answered like argparse does
+    # (stderr + exit 2), not a traceback.
     try:
-        placement = _resolve_placement(args)
-        if placement is not None and args.backend not in ("process", "remote"):
-            raise QueryError(
-                f"--placement applies to --backend process or remote, not {args.backend!r}"
-            )
-    except QueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.backend == "remote":
-        if not args.connect:
-            print(
-                "error: --backend remote requires --connect host:port[,host:port...]",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            backend = RemoteBackend(args.connect, timeout=args.timeout, placement=placement)
-        except QueryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        placement = None  # consumed by the backend instance
-    else:
-        backend = args.backend
-    try:
+        backend, placement = _resolve_backend(args)
         dataset = _load_service_dataset(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1007,30 +980,7 @@ def _command_http(args: argparse.Namespace) -> int:
         print(f"error: --max-queue must be >= 0, got {args.max_queue}", file=sys.stderr)
         return 2
     try:
-        placement = _resolve_placement(args)
-        if placement is not None and args.backend not in ("process", "remote"):
-            raise QueryError(
-                f"--placement applies to --backend process or remote, not {args.backend!r}"
-            )
-    except QueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.backend == "remote":
-        if not args.connect:
-            print(
-                "error: --backend remote requires --connect host:port[,host:port...]",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            backend = RemoteBackend(args.connect, timeout=args.timeout, placement=placement)
-        except QueryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        placement = None  # consumed by the backend instance
-    else:
-        backend = args.backend
-    try:
+        backend, placement = _resolve_backend(args)
         dataset = _load_service_dataset(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,12 +14,11 @@ the solvers into that shape:
   initiator — the common case for an activity-planning product — skip both
   the bounded-Bellman–Ford extraction and the bitmask compilation.
 * **Pluggable executor backends** — ``solve_many`` delegates to an
-  :class:`ExecutorBackend`: ``serial`` (in-process loop), ``thread`` (pool
-  sharing the service cache; best when traffic is cache-hot) or ``process``
-  (initiators sharded across persistent worker processes, each with its own
-  graph copy and ego-network cache — the backend that scales the GIL-bound
-  compiled kernel across cores).  See :mod:`repro.service.backends` and
-  :mod:`repro.service.sharding`.
+  :class:`ExecutorBackend`: ``serial`` (in-process loop over the service
+  cache; the default) or ``process`` (initiators sharded across persistent
+  worker processes, each with its own graph copy and ego-network cache —
+  the backend that scales the GIL-bound compiled kernel across cores).
+  See :mod:`repro.service.backends` and :mod:`repro.service.sharding`.
 * **Async front-end** — ``solve_many_async`` lets an asyncio caller pipeline
   batches; ``stgq serve --jsonl`` exposes the same thing as a line-oriented
   stdin/stdout protocol (:mod:`repro.service.jsonl`).
@@ -82,7 +81,6 @@ from .backends import (
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
 )
 from .codec import ErrorResult, query_from_request, response_for, wants_stats
@@ -131,7 +129,6 @@ __all__ = [
     "ServiceStats",
     "ShardMap",
     "ShutdownSignal",
-    "ThreadBackend",
     "WorkerServer",
     "build_placement",
     "load_placement",

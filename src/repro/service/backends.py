@@ -4,14 +4,12 @@ The service's batch path is a strategy object implementing
 :class:`ExecutorBackend`:
 
 ``serial``
-    Solve queries one after another on the calling thread.  Zero overhead,
-    fully deterministic scheduling; the baseline the others are compared to.
-
-``thread``
-    Fan out across a persistent :class:`~concurrent.futures.ThreadPoolExecutor`
-    sharing the service's ego-network cache.  Cheap to start and ideal for
-    cache-hot traffic, but the compiled kernel's popcount loops hold the GIL,
-    so throughput stops scaling past roughly one core.
+    Solve queries one after another on the calling thread, against the
+    service's own ego-network cache.  Zero overhead, fully deterministic
+    scheduling; the in-process executor and the baseline the others are
+    compared to.  The kernel is pure Python, so an in-process thread pool
+    could not run two solves at once under the GIL; parallelism comes from
+    the sharded backends below.
 
 ``remote``
     Shard the workload by initiator across TCP workers (``stgq worker``)
@@ -33,8 +31,8 @@ The service's batch path is a strategy object implementing
 
 Every ``solve_batch`` call receives the batch's
 :class:`~repro.service.context.ExecutionContext` and records all accounting
-into it: the in-process backends record per query as they solve, the
-sharded backends merge each answering worker's returned context *delta* — so
+into it: ``serial`` records per query as it solves, the sharded backends
+merge each answering worker's returned context *delta* — so
 ``service.stats()`` and ``service.cache_info()`` aggregate identically
 whichever backend ran the batch, and no backend ever snapshots or diffs
 service-global state.
@@ -42,12 +40,10 @@ service-global state.
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from ..exceptions import QueryError
@@ -66,13 +62,12 @@ __all__ = [
     "ExecutorBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "make_backend",
 ]
 
-#: In-process backends constructible from a bare name; ``remote`` also
-#: exists but needs worker addresses (see :func:`make_backend`).
-BACKEND_NAMES = ("serial", "thread", "process")
+#: Backends constructible from a bare name; ``remote`` also exists but
+#: needs worker addresses (see :func:`make_backend`).
+BACKEND_NAMES = ("serial", "process")
 
 #: Every backend name, for CLI choices and documentation.
 ALL_BACKEND_NAMES = BACKEND_NAMES + ("remote",)
@@ -115,9 +110,9 @@ class ExecutorBackend(Protocol):
         cleared its own front-end cache.  Backends whose workers hold
         private caches (``process``, ``remote``) must reach them here —
         otherwise a post-change service keeps serving pre-change ego
-        networks from exactly the backends production uses.  In-process
-        backends, which answer from the service's own cache, have nothing
-        further to clear.
+        networks from exactly the backends production uses.  ``serial``,
+        which answers from the service's own cache, has nothing further to
+        clear.
         """
         ...
 
@@ -130,8 +125,8 @@ class ExecutorBackend(Protocol):
         applies it with targeted invalidation of its private cache); a
         worker that reports a version gap is resynced by a log replay or a
         snapshot.  Returns the total number of worker cache entries evicted.
-        In-process backends answer from the service's own cache — already
-        invalidated — and return 0.
+        ``serial`` answers from the service's own cache — already
+        invalidated — and returns 0.
         """
         ...
 
@@ -144,9 +139,7 @@ class SerialBackend:
     """Solve every query on the calling thread, in order."""
 
     name = "serial"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = 1
+    workers = 1
 
     def solve_batch(
         self,
@@ -167,60 +160,6 @@ class SerialBackend:
 
     def close(self) -> None:
         pass
-
-
-class ThreadBackend:
-    """Fan out over a persistent thread pool sharing the service's cache."""
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = workers or min(32, (os.cpu_count() or 1) + 4)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._finalizer: Optional[weakref.finalize] = None
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="stgq-worker"
-                )
-                # Safety net for callers that never close(): release the
-                # threads when the backend is garbage collected.
-                self._finalizer = weakref.finalize(self, self._pool.shutdown, wait=False)
-            return self._pool
-
-    def solve_batch(
-        self,
-        service: "QueryService",
-        queries: Sequence["Query"],
-        context: ExecutionContext,
-    ) -> List["Result"]:
-        if self.workers <= 1 or len(queries) <= 1:
-            return [service._solve_local(query, context) for query in queries]
-        # The pool threads all record into the same batch context (it is
-        # thread-safe); the service merges it once afterwards.
-        solve = functools.partial(service._solve_local, context=context)
-        return list(self._ensure_pool().map(solve, queries))
-
-    def cache_entries(self) -> Optional[int]:
-        return None
-
-    def clear_caches(self, service: "QueryService") -> None:
-        pass  # answers from the service's own cache, already cleared
-
-    def apply_mutations(self, service: "QueryService", batch: MutationBatch) -> int:
-        return 0  # answers from the service's own cache, already invalidated
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-            finalizer, self._finalizer = self._finalizer, None
-        if finalizer is not None:
-            finalizer.detach()
-        if pool is not None:
-            pool.shutdown(wait=True)
 
 
 class ProcessBackend(RemoteBackend):
@@ -400,8 +339,8 @@ def make_backend(
     ``"host:port,host:port"``) and ``timeout`` only apply to
     ``backend="remote"``, whose shard count comes from the address list.
     ``placement`` (a loaded :class:`~repro.service.placement.PlacementMap`)
-    applies to the sharded backends only — ``serial`` and ``thread`` have
-    no routing to place.
+    applies to the sharded backends only — ``serial`` has no routing to
+    place.
     """
     if not isinstance(backend, str):
         return backend
@@ -412,8 +351,6 @@ def make_backend(
         )
     if backend == "serial":
         return SerialBackend()
-    if backend == "thread":
-        return ThreadBackend(workers)
     if backend == "process":
         return ProcessBackend(workers, placement=placement)
     if backend == "remote":

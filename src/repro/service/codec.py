@@ -59,6 +59,7 @@ from ..temporal.slots import SlotRange
 from ..types import Vertex
 
 __all__ = [
+    "FIELD_ALIASES",
     "MAX_REQUEST_BYTES",
     "ErrorResult",
     "decode_result",
@@ -77,8 +78,9 @@ Result = Union[GroupResult, STGroupResult]
 #: line by the JSONL loop and per frame by the socket protocol.
 MAX_REQUEST_BYTES = 1_000_000
 
-#: Paper-style aliases accepted in requests.
-_ALIASES = {"p": "group_size", "s": "radius", "k": "acquaintance", "m": "activity_length"}
+#: Paper-style aliases accepted in requests (the HTTP field validator reads
+#: the same table).
+FIELD_ALIASES = {"p": "group_size", "s": "radius", "k": "acquaintance", "m": "activity_length"}
 _FIELDS = ("initiator", "group_size", "radius", "acquaintance", "activity_length")
 
 
@@ -115,7 +117,7 @@ def query_from_request(payload: Dict[str, Any]) -> Query:
         raise QueryError(f"request must be a JSON object, got {type(payload).__name__}")
     fields: Dict[str, Any] = {}
     for key, value in payload.items():
-        name = _ALIASES.get(key, key)
+        name = FIELD_ALIASES.get(key, key)
         if name in _FIELDS:
             if name in fields:
                 raise QueryError(f"duplicate field {name!r} (alias collision)")

@@ -17,7 +17,7 @@ batch and threaded down through every layer that does accountable work:
   defines — the core never imports the service);
 * the **feasible-graph cache** records hits and misses into it;
 * the **executor backends** record per-query service counters into it
-  (``serial``/``thread``) or merge worker-produced deltas into it
+  (``serial``) or merge worker-produced deltas into it
   (``process``/``remote``) — no global snapshots, no diffing;
 * the **service** merges the completed context into its lifetime totals
   exactly once, atomically, when the batch finishes (a failed batch merges
@@ -108,8 +108,9 @@ class ExecutionContext(SearchContext):
     Extends the core's :class:`SearchContext` (merged kernel statistics,
     recorded by the solvers themselves) with the service-level counters —
     query counts, feasibility split, cache hits/misses — that previously
-    lived on the service object.  Thread-safe: the thread backend records
-    results from several pool threads into the same batch context.
+    lived on the service object.  Recording is lock-guarded, so a context
+    shared between threads stays consistent; the in-tree backends record
+    into each batch context from one thread at a time.
 
     Lifecycle: ``QueryService.solve_many`` creates one per batch (or
     accepts a caller-provided one, which is how the TCP worker reads exact

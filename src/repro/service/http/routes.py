@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...exceptions import QueryError, ReproError, VertexNotFoundError, WorkerUnavailableError
-from ..codec import query_from_request, response_for, wants_stats
-from .pagination import paginate
+from ..codec import FIELD_ALIASES, query_from_request, response_for, wants_stats
+from .pagination import clamp_page_size, decode_cursor, paginate
 
 __all__ = [
     "RouteResponse",
@@ -54,7 +54,6 @@ _FIELD_RULES: Dict[str, Tuple[bool, int, str]] = {
     "acquaintance": (False, 0, "acquaintance constraint k (>= 0)"),
     "activity_length": (False, 1, "activity length m (>= 1; omit for SGQ)"),
 }
-_ALIASES = {"p": "group_size", "s": "radius", "k": "acquaintance", "m": "activity_length"}
 
 
 @dataclass
@@ -95,7 +94,7 @@ def _field_errors(payload: Dict[str, Any]) -> Dict[str, str]:
     errors: Dict[str, str] = {}
     seen: Dict[str, str] = {}
     for key, value in payload.items():
-        name = _ALIASES.get(key, key)
+        name = FIELD_ALIASES.get(key, key)
         if name not in _FIELD_RULES:
             continue
         if name in seen:
@@ -212,6 +211,13 @@ def _handle_batch(
     queries, stats_flags, error = _parse_queries(app, payloads)
     if error is not None:
         return error
+    cursor, page_size = document.get("cursor"), document.get("page_size")
+    try:  # a bad cursor or page size must fail before any query is solved
+        if cursor is not None:
+            decode_cursor(cursor)
+        clamp_page_size(page_size)
+    except QueryError as exc:
+        return error_response(400, str(exc))
     try:
         responses: List[Dict[str, Any]] = []
         if queries:
@@ -220,13 +226,9 @@ def _handle_batch(
                 response_for(payload.get("id"), result, include_stats=flag)
                 for payload, result, flag in zip(payloads, results, stats_flags)
             ]
-        page, next_cursor, total = paginate(
-            responses, document.get("cursor"), document.get("page_size")
-        )
-    except QueryError as exc:  # bad cursor / page_size
-        return error_response(400, str(exc))
     except ReproError as exc:
         return _solve_failure(exc)
+    page, next_cursor, total = paginate(responses, cursor, page_size)
     return RouteResponse(
         200, {"results": page, "total": total, "next_cursor": next_cursor}
     )

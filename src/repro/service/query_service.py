@@ -88,8 +88,8 @@ class MutationReport:
 
     ``invalidated`` counts front-end cache entries evicted by targeted
     invalidation; ``worker_invalidations`` sums the counts the backend's
-    workers reported for the same batch (0 on serial/thread, whose cache
-    *is* the front-end one).
+    workers reported for the same batch (0 on serial, whose cache *is* the
+    front-end one).
     """
 
     mutations: int
@@ -122,18 +122,17 @@ class QueryService:
         are evicted beyond that.  The ``process`` backend splits this budget
         evenly across its children (keys partition by initiator).
     max_workers:
-        Executor width for :meth:`solve_many`: threads for the ``thread``
-        backend, child worker processes (= shards) for ``process``.
-        Defaults to ``min(32, os.cpu_count() + 4)`` threads /
-        ``os.cpu_count()`` processes.
+        Child worker processes (= shards) for the ``process`` backend
+        (default: the placement map's shard count, else
+        ``os.cpu_count()``); ``serial`` ignores it.
     backend:
-        Batch execution strategy — ``"serial"``, ``"thread"`` (default) or
-        ``"process"``, or a ready :class:`~repro.service.ExecutorBackend`
-        instance.  See :mod:`repro.service.backends` for the trade-offs:
-        ``thread`` shares this service's ego-network cache and wins on
-        cache-hot traffic; ``process`` shards initiators across worker
-        processes it spawns on 127.0.0.1, each holding its own graph copy
-        and cache, and scales the GIL-bound compiled kernel across cores.
+        Batch execution strategy — ``"serial"`` (default) or ``"process"``,
+        or a ready :class:`~repro.service.ExecutorBackend` instance.  See
+        :mod:`repro.service.backends` for the trade-offs: ``serial`` solves
+        in order on the calling thread against this service's ego-network
+        cache; ``process`` shards initiators across worker processes it
+        spawns on 127.0.0.1, each holding its own graph copy and cache, and
+        scales the GIL-bound compiled kernel across cores.
         It is the ``remote`` backend over local children, so a dead child
         fails its shard's queries (as ``ErrorResult``\\ s), not the whole
         batch, and the remote deadlines bound its batches; vertex ids must
@@ -181,7 +180,7 @@ class QueryService:
         parameters: Optional[SearchParameters] = None,
         cache_size: int = 128,
         max_workers: Optional[int] = None,
-        backend: Union[str, ExecutorBackend] = "thread",
+        backend: Union[str, ExecutorBackend] = "serial",
         placement: Optional["PlacementMap"] = None,
     ) -> None:
         if cache_size < 1:
@@ -220,7 +219,7 @@ class QueryService:
 
     @property
     def backend_name(self) -> str:
-        """Name of the active backend (``serial`` / ``thread`` / ``process``)."""
+        """Name of the active backend (``serial`` / ``process`` / ``remote``)."""
         return self._backend.name
 
     # ------------------------------------------------------------------
@@ -633,10 +632,11 @@ class QueryService:
     def solve_many(
         self, queries: Iterable[Query], context: Optional[ExecutionContext] = None
     ) -> List[Result]:
-        """Answer a batch of independent queries concurrently.
+        """Answer a batch of independent queries.
 
         Results are returned in the order of ``queries`` regardless of
-        completion order.  Execution is delegated to the configured backend.
+        completion order.  Execution is delegated to the configured backend
+        (``serial`` solves in order; the sharded backends fan out).
 
         ``context`` (optional) is the batch's accounting scope: pass a fresh
         :class:`~repro.service.context.ExecutionContext` to read this
@@ -711,8 +711,8 @@ class QueryService:
         :class:`~repro.service.placement.PlacementMap`; this surfaces that
         router's identity (strategy, version) plus its rolling
         :class:`~repro.service.sharding.RouteMetrics` — the numbers behind
-        ``stgq stats --json`` and HTTP ``/stats``.  Serial and thread
-        backends do not route, hence ``None``.
+        ``stgq stats --json`` and HTTP ``/stats``.  The serial backend does
+        not route, hence ``None``.
         """
         reporter = getattr(self._backend, "route_report", None)
         if reporter is None:

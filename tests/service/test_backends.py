@@ -1,9 +1,9 @@
 """Executor-backend tests: equivalence, locality, lifecycle.
 
 The equivalence property test is the contract that makes backend selection a
-pure deployment decision: for any seeded workload, ``serial``, ``thread`` and
-``process`` must return identical results *and* identical aggregate search
-stats (wall-clock excluded).
+pure deployment decision: for any seeded workload, ``serial`` and ``process``
+must return identical results *and* identical aggregate search stats
+(wall-clock excluded).
 """
 
 import os
@@ -23,7 +23,6 @@ from repro.service import (
     ProcessBackend,
     QueryService,
     SerialBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.service.sharding import stable_shard
@@ -115,14 +114,13 @@ class TestBackendEquivalence:
         reference_keys, reference_counters, reference_info = run_backend(
             dataset, "serial", batch
         )
-        for backend in ("thread", "process"):
-            keys, counters, info = run_backend(dataset, backend, batch)
-            assert keys == reference_keys, f"{backend} results diverged"
-            assert counters == reference_counters, f"{backend} stats diverged"
-            # Cache aggregates match too: every distinct (initiator, radius)
-            # misses exactly once wherever it lives.
-            assert (info.hits, info.misses) == (reference_info.hits, reference_info.misses)
-            assert info.size == reference_info.size
+        keys, counters, info = run_backend(dataset, "process", batch)
+        assert keys == reference_keys, "process results diverged"
+        assert counters == reference_counters, "process stats diverged"
+        # Cache aggregates match too: every distinct (initiator, radius)
+        # misses exactly once wherever it lives.
+        assert (info.hits, info.misses) == (reference_info.hits, reference_info.misses)
+        assert info.size == reference_info.size
 
     def test_single_solve_agrees(self, dataset):
         query = SGQuery(initiator=dataset.people[3], group_size=4, radius=2, acquaintance=1)
@@ -273,11 +271,11 @@ class TestProcessBackend:
 class TestBackendConstruction:
     def test_make_backend_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("thread", 3), ThreadBackend)
         assert isinstance(make_backend("process", 2), ProcessBackend)
+        assert BACKEND_NAMES == ("serial", "process")
 
     def test_make_backend_passthrough_instance(self):
-        backend = ThreadBackend(2)
+        backend = SerialBackend()
         assert make_backend(backend) is backend
 
     def test_unknown_backend_rejected(self):
@@ -290,9 +288,24 @@ class TestBackendConstruction:
         with pytest.raises(QueryError):
             QueryService(dataset.graph, dataset.calendars, backend="fork")
 
+    def test_retired_thread_backend_is_rejected(self, dataset):
+        # Rejected like any unknown name, never degraded to another backend;
+        # the message lists the backends that do exist.
+        for build in (
+            lambda: make_backend("thread"),
+            lambda: QueryService(dataset.graph, dataset.calendars, backend="thread"),
+        ):
+            with pytest.raises(QueryError, match="'thread'") as excinfo:
+                build()
+            for name in ("serial", "process", "remote"):
+                assert name in str(excinfo.value)
+
+    def test_service_defaults_to_serial(self, dataset):
+        with QueryService(dataset.graph, dataset.calendars) as service:
+            assert service.backend_name == "serial"
+
     def test_worker_defaults(self):
         assert SerialBackend().workers == 1
-        assert ThreadBackend(4).workers == 4
         assert ProcessBackend(3).workers == 3
 
     def test_service_exposes_backend(self, dataset):
@@ -303,25 +316,6 @@ class TestBackendConstruction:
 
 
 class TestLifecycleSafetyNets:
-    def test_thread_pool_released_without_close(self, dataset):
-        import gc
-        import threading
-        import time as time_mod
-
-        def pool_threads():
-            return [t for t in threading.enumerate() if t.name.startswith("stgq-worker")]
-
-        service = QueryService(dataset.graph, dataset.calendars, max_workers=2)
-        batch = build_batch(dataset, seed=5, n_queries=8, n_initiators=4, stg_fraction=0.0)
-        service.solve_many(batch)
-        assert pool_threads()  # persistent pool is live
-        del service
-        gc.collect()
-        deadline = time_mod.monotonic() + 5.0
-        while pool_threads() and time_mod.monotonic() < deadline:
-            time_mod.sleep(0.01)
-        assert not pool_threads()  # finalizer shut the pool down
-
     def test_failed_batch_never_partially_counted(self, dataset):
         # One query with an unknown initiator makes its shard raise; the
         # whole batch must be invisible in the parent stats (all-or-nothing),

@@ -253,7 +253,7 @@ class TestExecutionContextDeltas:
         for counter in DETERMINISTIC_COUNTERS:
             assert totals[counter] == first_delta[counter] + second_delta[counter]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_solver_records_kernel_stats_into_context(self, dataset, backend):
         # The merged kernel view is backend-invariant too: sharded backends
         # re-record worker-side result stats into the parent context.

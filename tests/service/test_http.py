@@ -302,13 +302,15 @@ class TestPagination:
         ]
         assert json.dumps(collected) == json.dumps(expected)
 
-    def test_bad_cursor_in_request_400(self, app):
+    def test_bad_cursor_in_request_400(self, app, service):
         response = post(app, {"queries": [dict(SG_PAYLOAD)], "cursor": "???"})
         assert response.status == 400
+        assert service.stats().queries == 0  # rejected before any solve
 
-    def test_bad_page_size_400(self, app):
+    def test_bad_page_size_400(self, app, service):
         response = post(app, {"queries": [dict(SG_PAYLOAD)], "page_size": 0})
         assert response.status == 400
+        assert service.stats().queries == 0  # rejected before any solve
 
 
 # ----------------------------------------------------------------------

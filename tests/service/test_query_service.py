@@ -159,7 +159,7 @@ MUTATION_QUERY = SGQuery(initiator=0, group_size=2, radius=1, acquaintance=0)
 class TestClearCacheInvalidation:
     """clear_cache() + a mutated-graph reload must serve fresh results."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_mutated_graph_reload_in_process_backends(self, backend):
         graph = _mutable_graph()
         with QueryService(graph, backend=backend, max_workers=2) as service:

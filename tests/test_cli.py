@@ -207,6 +207,26 @@ class TestCommands:
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--kernel", "numpy"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--backend", "thread"],
+            ["http", "--backend", "thread"],
+            ["worker", "--backend", "thread"],
+            ["cluster", "--worker-backend", "thread"],
+        ],
+    )
+    def test_retired_thread_backend_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    def test_serve_and_http_default_to_serial(self):
+        parser = build_parser()
+        for command in ("serve", "http"):
+            assert parser.parse_args([command]).backend == "serial"
+
 
 class TestStatsCommand:
     def test_stats_arguments(self):
