@@ -28,9 +28,9 @@ Scaling the service
   ``examples/cluster_quickstart.py`` and ``docs/service.md``.
 
 Whichever backend runs, ``stats()`` / ``cache_info()`` aggregate identically
-(worker counters merge into the parent), and ``solve_many_async`` lets an
-asyncio front-end pipeline batches — ``stgq serve --jsonl`` exposes that as
-a stdin/stdout JSONL protocol.
+(worker counters merge into the parent), and ``answer_async`` lets an
+asyncio front-end pipeline batches of decoded requests — ``stgq serve
+--jsonl`` exposes that as a stdin/stdout JSONL protocol.
 
 Run with::
 

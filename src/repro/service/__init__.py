@@ -19,9 +19,12 @@ the solvers into that shape:
   worker processes, each with its own graph copy and ego-network cache —
   the backend that scales the GIL-bound compiled kernel across cores).
   See :mod:`repro.service.backends` and :mod:`repro.service.sharding`.
-* **Async front-end** — ``solve_many_async`` lets an asyncio caller pipeline
-  batches; ``stgq serve --jsonl`` exposes the same thing as a line-oriented
-  stdin/stdout protocol (:mod:`repro.service.jsonl`).
+* **One request pipeline** — ``parse_request`` is the one admission check
+  every front door (HTTP, JSONL, TCP) runs on a decoded request, and
+  ``answer`` / ``answer_async`` return one result or ``ErrorResult`` per
+  request, so a bad request never fails its batchmates.  The awaitable form
+  lets an asyncio caller pipeline batches; ``stgq serve --jsonl`` exposes it
+  as a line-oriented stdin/stdout protocol (:mod:`repro.service.jsonl`).
 * **Network cluster** — :mod:`repro.service.net` takes the service past one
   box: ``stgq worker`` serves a local ``QueryService`` over a length-framed
   TCP protocol, :class:`~repro.service.net.RemoteBackend` is the drop-in

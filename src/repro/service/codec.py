@@ -1,8 +1,9 @@
-"""Request/response codec shared by the stdin JSONL loop and the socket path.
+"""Request/response codec shared by every front door.
 
-One query, one JSON object — the same payload shape travels over both
-transports (``stgq serve --jsonl`` newline-delimited frames and the
-length-framed ``batch`` frames of :mod:`repro.service.net.protocol`):
+One query, one JSON object — the same payload shape travels over all three
+transports (``stgq serve --jsonl`` newline-delimited frames, the
+length-framed ``batch`` frames of :mod:`repro.service.net.protocol` and
+``POST /v1/queries``):
 
 Request::
 
@@ -12,7 +13,11 @@ Request::
 ``id`` is optional and echoed back verbatim.  The paper's short parameter
 names are accepted as aliases (``p`` = group_size, ``s`` = radius,
 ``k`` = acquaintance, ``m`` = activity_length); omitting
-``activity_length``/``m`` makes the request a purely social SGQ.  A request
+``activity_length``/``m`` makes the request a purely social SGQ.
+:func:`query_from_request` is the one request validator (integer parameters,
+never booleans; every bad field named at once in a :class:`RequestError`);
+:meth:`~repro.service.QueryService.parse_request` adds the checks that need
+the graph and the calendars.  A request
 may also set ``"stats": true`` (see :func:`wants_stats`) to opt into a
 ``stats`` field on its response carrying the solver's
 :class:`~repro.core.result.SearchStats` — the end-to-end observability
@@ -43,14 +48,15 @@ this package uses); richer vertex objects would need their own codec.
 :class:`ErrorResult` is the in-band failure marker: a result-shaped object a
 backend can put in a batch slot when that request (and only that request)
 could not be answered — e.g. its remote worker is down.  ``response_for``
-renders it as ``{"id": ..., "error": ...}``.
+renders it as ``{"id": ..., "error": ...}`` and ``encode_result`` as
+``{"error": ...}``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Union
+from typing import Any, Dict, FrozenSet, List, Tuple, Union
 
 from ..core.query import SGQuery, STGQuery
 from ..core.result import GroupResult, SearchStats, STGroupResult
@@ -62,6 +68,7 @@ __all__ = [
     "FIELD_ALIASES",
     "MAX_REQUEST_BYTES",
     "ErrorResult",
+    "RequestError",
     "decode_result",
     "encode_result",
     "query_from_request",
@@ -78,10 +85,33 @@ Result = Union[GroupResult, STGroupResult]
 #: line by the JSONL loop and per frame by the socket protocol.
 MAX_REQUEST_BYTES = 1_000_000
 
-#: Paper-style aliases accepted in requests (the HTTP field validator reads
-#: the same table).
+#: Paper-style aliases accepted in requests.
 FIELD_ALIASES = {"p": "group_size", "s": "radius", "k": "acquaintance", "m": "activity_length"}
-_FIELDS = ("initiator", "group_size", "radius", "acquaintance", "activity_length")
+
+#: Request keys (post-aliasing) with their validation rules.  ``activity_length``
+#: is optional (absent = SGQ); ``radius`` and ``acquaintance`` default to 1.
+_FIELD_RULES: Dict[str, Tuple[bool, int, str]] = {
+    # name -> (required, minimum, description)
+    "initiator": (True, 0, "vertex id of the query initiator"),
+    "group_size": (True, 1, "group size p (>= 1)"),
+    "radius": (False, 1, "social radius s (>= 1)"),
+    "acquaintance": (False, 0, "acquaintance constraint k (>= 0)"),
+    "activity_length": (False, 1, "activity length m (>= 1; omit for SGQ)"),
+}
+
+
+class RequestError(QueryError):
+    """A request whose fields break the request rules.
+
+    ``fields`` maps each bad field — under the key the client sent, so a
+    broken alias is reported as the alias — to its problem; the HTTP tier
+    returns it as the 400's ``fields`` map.
+    """
+
+    def __init__(self, fields: Dict[str, str]) -> None:
+        detail = "; ".join(f"{key}: {problem}" for key, problem in fields.items())
+        super().__init__(f"invalid query: {detail}")
+        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -110,31 +140,40 @@ class ErrorResult:
 def query_from_request(payload: Dict[str, Any]) -> Query:
     """Build an :class:`SGQuery`/:class:`STGQuery` from one decoded request.
 
-    Raises :class:`~repro.exceptions.QueryError` on missing or invalid
-    fields, which both serve loops turn into an error response.
+    Raises :class:`RequestError` naming every missing, mistyped,
+    out-of-range or alias-colliding field at once, and
+    :class:`~repro.exceptions.QueryError` for a payload that is not an
+    object.
     """
     if not isinstance(payload, dict):
         raise QueryError(f"request must be a JSON object, got {type(payload).__name__}")
     fields: Dict[str, Any] = {}
+    errors: Dict[str, str] = {}
     for key, value in payload.items():
         name = FIELD_ALIASES.get(key, key)
-        if name in _FIELDS:
-            if name in fields:
-                raise QueryError(f"duplicate field {name!r} (alias collision)")
-            fields[name] = value
-    if "initiator" not in fields:
-        raise QueryError("request is missing 'initiator'")
-    if "group_size" not in fields:
-        raise QueryError("request is missing 'group_size' (alias 'p')")
+        if name not in _FIELD_RULES:
+            continue
+        if name in fields:
+            errors[key] = f"duplicates field {name!r} (alias collision)"
+            continue
+        fields[name] = value
+        _required, minimum, description = _FIELD_RULES[name]
+        if name == "initiator":
+            if not isinstance(value, (int, str)) or isinstance(value, bool):
+                errors[key] = f"must be a vertex id (int or string): {description}"
+        elif not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            errors[key] = f"must be an integer >= {minimum}: {description}"
+    for name, (required, _minimum, description) in _FIELD_RULES.items():
+        if required and name not in fields:
+            errors[name] = f"required: {description}"
+    if errors:
+        raise RequestError(errors)
     fields.setdefault("radius", 1)
     fields.setdefault("acquaintance", 1)
     activity_length = fields.pop("activity_length", None)
-    try:
-        if activity_length is None:
-            return SGQuery(**fields)
-        return STGQuery(activity_length=activity_length, **fields)
-    except TypeError as exc:  # non-numeric parameters and the like
-        raise QueryError(f"invalid request parameters: {exc}") from exc
+    if activity_length is None:
+        return SGQuery(**fields)
+    return STGQuery(activity_length=activity_length, **fields)
 
 
 def request_for(query: Query, request_id: Any = None) -> Dict[str, Any]:
@@ -186,13 +225,17 @@ def _encode_range(value) -> Any:
     return list(value.as_tuple()) if value is not None else None
 
 
-def encode_result(result: Result) -> Dict[str, Any]:
+def encode_result(result: Union[Result, ErrorResult]) -> Dict[str, Any]:
     """Full-fidelity encoding of a result for the gateway/worker wire.
 
     Unlike :func:`response_for` this keeps the search statistics and the
     temporal bookkeeping, so :func:`decode_result` reconstructs an object the
-    gateway can hand to callers exactly as if the query ran locally.
+    gateway can hand to callers exactly as if the query ran locally.  An
+    :class:`ErrorResult` encodes as ``{"error": ...}``, which the gateway
+    turns back into an :class:`ErrorResult`.
     """
+    if isinstance(result, ErrorResult):
+        return {"error": result.error}
     finite = math.isfinite(result.total_distance)
     payload: Dict[str, Any] = {
         "kind": "stg" if isinstance(result, STGroupResult) else "sg",

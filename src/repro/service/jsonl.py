@@ -5,17 +5,18 @@ The request/response payloads are shared with the socket path and documented
 in :mod:`repro.service.codec` (``query_from_request`` / ``response_for`` are
 re-exported here for backward compatibility).
 
-Malformed lines, oversized lines (> ``codec.MAX_REQUEST_BYTES``), invalid
-parameters and solver-time library errors (e.g. an initiator not in the
-graph) produce ``{"id": ..., "error": "..."}`` in place of a result; the
-loop keeps serving.  ``total_distance`` is ``null`` for infeasible results
+Malformed lines, oversized lines (> ``codec.MAX_REQUEST_BYTES``), requests
+that :meth:`~repro.service.QueryService.parse_request` rejects (bad fields,
+an initiator not in the graph, ...) and a failed solve produce
+``{"id": ..., "error": "..."}`` in place of a result, per line; the loop
+keeps serving.  ``total_distance`` is ``null`` for infeasible results
 (JSON has no ``Infinity``).  A request carrying ``"stats": true`` receives
 its solve's kernel statistics in a ``stats`` response field (per-request
 opt-in; see :mod:`repro.service.codec`).
 
-The loop is pipelined: requests are read in batches and each batch is solved
-through :meth:`~repro.service.QueryService.solve_many_async` while the next
-batch is being read and the previous batch's responses are being written.
+The loop is pipelined: requests are read in batches and each batch is
+answered through :meth:`~repro.service.QueryService.answer_async` while the
+next batch is being read and the previous batch's responses are being written.
 Batches fill only while input is immediately available, and pending
 responses are flushed before the loop blocks for more input — so both
 firehose pipelining clients and strict request/response clients are served
@@ -31,22 +32,21 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
-from ..exceptions import QueryError, ReproError
-from .codec import MAX_REQUEST_BYTES, query_from_request, response_for, wants_stats
+from ..exceptions import QueryError
+from .codec import MAX_REQUEST_BYTES, ErrorResult, query_from_request, response_for, wants_stats
 from .drain import ShutdownSignal
-from .query_service import Query, QueryService, Result
+from .query_service import QueryService, Result
 
 __all__ = ["serve_jsonl", "query_from_request", "response_for"]
 
 
 @dataclass
 class _Entry:
-    """One request line: either a parsed query or a parse error."""
+    """One request line: either a decoded JSON payload or a framing error."""
 
     request_id: Any
-    query: Optional[Query] = None
+    payload: Any = None
     error: Optional[str] = None
-    include_stats: bool = False
 
 
 def _parse_line(line: str) -> Optional[_Entry]:
@@ -65,14 +65,7 @@ def _parse_line(line: str) -> Optional[_Entry]:
     except json.JSONDecodeError as exc:
         return _Entry(request_id=None, error=f"invalid JSON: {exc}")
     request_id = payload.get("id") if isinstance(payload, dict) else None
-    try:
-        return _Entry(
-            request_id=request_id,
-            query=query_from_request(payload),
-            include_stats=wants_stats(payload),
-        )
-    except QueryError as exc:
-        return _Entry(request_id=request_id, error=str(exc))
+    return _Entry(request_id=request_id, payload=payload)
 
 
 class _RequestReader:
@@ -179,38 +172,15 @@ class _RequestReader:
             drained.append(item)
 
 
-async def _solve_entries(service: QueryService, entries: List[_Entry]) -> List[Union[Result, str]]:
-    """Solve one batch's parsed queries, turning library errors into strings.
-
-    Requests that fail the service's own validation (unknown initiator,
-    STGQ without calendars or longer than the planning horizon) are
-    rejected up front per entry, so the batch fast path stays
-    exception-free and service stats count each query exactly once on
-    every backend.  Any remaining library error downgrades
-    the whole batch to error responses rather than killing the loop.
-    """
-    for entry in entries:
-        if entry.query is not None:
-            try:
-                service._validate(entry.query)
-            except ReproError as exc:
-                entry.error = str(exc)
-                entry.query = None
-    queries = [entry.query for entry in entries if entry.query is not None]
-    if not queries:
-        return []
-    try:
-        return list(await service.solve_many_async(queries))
-    except Exception as exc:  # pragma: no cover - defensive backstop
-        # Covers both library errors and executor failures (e.g. process
-        # backend children that could not start): answer the batch with
-        # errors instead of killing the loop.
-        return [str(exc) or type(exc).__name__] * len(queries)
+def _answer(service: QueryService, entries: List[_Entry]) -> "asyncio.Future[List[Any]]":
+    """Start answering one batch's decoded payloads (framing errors skipped)."""
+    payloads = [entry.payload for entry in entries if entry.error is None]
+    return asyncio.ensure_future(service.answer_async(payloads))
 
 
 def _write_responses(
     entries: Sequence[_Entry],
-    outcomes: Sequence[Union[Result, str]],
+    outcomes: Sequence[Union[Result, ErrorResult]],
     output_stream: TextIO,
 ) -> None:
     cursor = iter(outcomes)
@@ -218,13 +188,8 @@ def _write_responses(
         if entry.error is not None:
             payload: Dict[str, Any] = {"id": entry.request_id, "error": entry.error}
         else:
-            outcome = next(cursor)
-            if isinstance(outcome, str):
-                payload = {"id": entry.request_id, "error": outcome}
-            else:
-                payload = response_for(
-                    entry.request_id, outcome, include_stats=entry.include_stats
-                )
+            include_stats = wants_stats(entry.payload)
+            payload = response_for(entry.request_id, next(cursor), include_stats=include_stats)
         output_stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
     output_stream.flush()
 
@@ -263,7 +228,7 @@ async def _serve(
                 # then exit 0.  Nothing accepted is dropped.
                 leftovers = reader.drain()
                 if leftovers:
-                    task = asyncio.ensure_future(_solve_entries(service, leftovers))
+                    task = _answer(service, leftovers)
                     if pending is not None:
                         item, pending = pending, None
                         await flush(item)
@@ -274,7 +239,7 @@ async def _serve(
                 break
             if not entries:
                 continue  # timed-out tick: re-check the stop signal
-            task = asyncio.ensure_future(_solve_entries(service, entries))
+            task = _answer(service, entries)
             # Give the task one loop tick so its batch is already running on
             # the executor while we write the previous responses and read
             # more input.

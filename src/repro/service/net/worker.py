@@ -5,8 +5,12 @@
 connects, handshakes and streams ``batch`` frames at it (see
 :mod:`repro.service.net.protocol` for the wire format).
 
-Batch frames are answered with full-fidelity results *plus* the stats
-*delta* that batch produced.  Each batch runs under its own
+Batch frames are answered through
+:meth:`~repro.service.QueryService.answer_async`, the request pipeline every
+front door shares: one full-fidelity result or ``{"error": ...}`` entry per
+request, *plus* the stats *delta* that batch produced.  A rejected request or
+an ``ErrorResult`` from the worker's own backend fails its entry alone.
+Each batch runs under its own
 :class:`~repro.service.context.ExecutionContext`, so the delta is exact by
 construction — no lock, no before/after snapshot of the service totals —
 and the worker interleaves batch frames from any number of gateway
@@ -41,17 +45,17 @@ import pickle
 import signal
 import sys
 import threading
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, TextIO, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set, TextIO, Tuple
 
 from ...exceptions import ProtocolError, QueryError, ReproError
 from ...graph.mutations import MutationBatch
-from ..codec import encode_result, query_from_request, wants_stats
+from ..codec import ErrorResult, encode_result, wants_stats
 from ..context import ExecutionContext
 from ..placement import PlacementMap
 from .protocol import PROTOCOL_VERSION, read_frame, write_frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..query_service import Query, QueryService
+    from ..query_service import QueryService
 
 __all__ = ["WorkerServer", "run_spawned_worker", "run_worker", "READY_MARKER"]
 
@@ -357,16 +361,10 @@ class WorkerServer:
             }
             return reply, True
         if ftype == "stats":
-            info = self.service.cache_info()
             reply = {
                 "type": "stats",
                 "stats": self.service.stats().as_dict(),
-                "cache": {
-                    "hits": info.hits,
-                    "misses": info.misses,
-                    "size": info.size,
-                    "max_size": info.max_size,
-                },
+                "cache": self.service.cache_info().as_dict(),
                 "placement_version": self._placement_version,
             }
             # When this worker's own service routes by shard (a process
@@ -417,14 +415,6 @@ class WorkerServer:
                 )
         return self.service.apply_snapshot(payload, graph=graph)
 
-    def _parse_request(self, payload: Any) -> Query:
-        query = query_from_request(payload)
-        # One authoritative precondition check (initiator in graph,
-        # calendars present for STGQ, ...): the service's own validation,
-        # so worker-side rejections match the local backends exactly.
-        self.service._validate(query)
-        return query
-
     async def _handle_batch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         requests = frame.get("requests")
         if not isinstance(requests, list):
@@ -433,51 +423,22 @@ class WorkerServer:
                 "error": "batch frame must carry a 'requests' array",
                 "id": frame.get("id"),
             }
-        entries: List[Tuple[Optional[Query], Optional[str]]] = []
-        queries: List[Query] = []
-        for payload in requests:
-            try:
-                query = self._parse_request(payload)
-            except ReproError as exc:
-                entries.append((None, str(exc)))
-            else:
-                entries.append((query, None))
-                queries.append(query)
-        solve_error: Optional[str] = None
-        results: List[Any] = []
         # Each batch gets a private ExecutionContext, so its stats delta is
         # exact whatever else the worker is doing: batches from any number
         # of gateway connections interleave freely on the service's
-        # executor (the old per-worker solve lock — and with it the
-        # one-gateway-per-fleet restriction — is gone).
+        # executor.
         context = ExecutionContext()
-        if queries:
-            try:
-                results = list(await self.service.solve_many_async(queries, context=context))
-            except Exception as exc:  # e.g. process-backend children that cannot start
-                solve_error = str(exc) or type(exc).__name__
-        if solve_error is not None:
-            # Every request is being answered with an error: ship no delta,
-            # so the gateway never counts queries whose callers only saw
-            # ErrorResults (the failed batch's context was never merged
-            # worker-side either, so both sides agree it never happened).
-            delta: Dict[str, float] = {}
-        else:
-            delta = context.as_delta()
-        cursor = iter(results)
-        encoded: List[Dict[str, Any]] = []
-        for query, error in entries:
-            if error is not None:
-                encoded.append({"error": error})
-            elif solve_error is not None:
-                encoded.append({"error": solve_error})
-            else:
-                encoded.append(encode_result(next(cursor)))
+        outcomes = await self.service.answer_async(requests, context)
+        # A batch that answered no request ships an empty delta and no
+        # stats: nothing was solved, or the solve failed and merged nothing
+        # worker-side, so the gateway, whose callers only see ErrorResults,
+        # must count nothing either.
+        answered = any(not isinstance(outcome, ErrorResult) for outcome in outcomes)
         reply = {
             "type": "batch_result",
             "id": frame.get("id"),
-            "results": encoded,
-            "stats_delta": delta,
+            "results": [encode_result(outcome) for outcome in outcomes],
+            "stats_delta": context.as_delta() if answered else {},
             "cache_size": self.service.cache_info().size,
             # Every batch reply advertises the stored placement-map version,
             # so a gateway routing with an older map learns about a newer
@@ -485,11 +446,9 @@ class WorkerServer:
             # anyone restarting.
             "placement_version": self._placement_version,
         }
-        if wants_stats(frame) and solve_error is None:
+        if wants_stats(frame) and answered:
             # Opt-in observability: the batch's merged kernel statistics,
-            # recorded into the context by the solvers themselves.  A
-            # failed batch ships none — both sides treat it as never
-            # having happened, partial kernel work included.
+            # recorded into the context by the solvers themselves.
             reply["stats"] = context.search_stats().as_dict()
         return reply
 

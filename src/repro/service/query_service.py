@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import itertools
+import logging
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.query import SearchParameters, SGQuery, STGQuery
 from ..core.result import GroupResult, STGroupResult
@@ -37,6 +39,7 @@ from ..graph.social_graph import SocialGraph
 from ..temporal.calendars import CalendarStore
 from ..types import Vertex
 from .backends import ExecutorBackend, make_backend
+from .codec import ErrorResult, query_from_request
 from .placement import PlacementMap
 from .context import ExecutionContext, ServiceStats
 
@@ -48,6 +51,8 @@ __all__ = [
     "MutationReport",
     "MUTATION_LOG_CAPACITY",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: How many applied MutationBatches the service keeps for delta catch-up.
 #: A replica whose version gap is no longer covered by the log falls back
@@ -80,6 +85,16 @@ class CacheInfo:
         """Fraction of lookups served from the cache (0.0 when none yet)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+    def as_dict(self) -> Dict[str, float]:
+        """The counters plus ``hit_rate`` (4 places) as a JSON-ready dict."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "size": self.size,
+            "max_size": self.max_size,
+            "hit_rate": round(self.hit_rate, 4),
+        }
 
 
 @dataclass(frozen=True)
@@ -560,14 +575,16 @@ class QueryService:
     # solving
     # ------------------------------------------------------------------
     def _validate(self, query: Query) -> None:
-        """Reject malformed traffic before it reaches an executor.
+        """Reject queries this service cannot answer before they reach an executor.
 
         Unknown initiators and STGQs longer than the planning horizon are
         rejected here rather than deep inside the extraction or the solver
         so every backend fails identically, per query — the remote backend
         would otherwise degrade them to in-band error results while the
         local backends raise, and a solver error fails every query batched
-        with it.
+        with it.  Front doors reach it through :meth:`parse_request`;
+        :meth:`solve_many` runs it again for callers that build queries
+        themselves.
         """
         if isinstance(query, STGQuery):
             if self.calendars is None:
@@ -596,9 +613,9 @@ class QueryService:
     def _solve_local(self, query: Query, context: ExecutionContext) -> Result:
         """Answer one query on the calling thread against the local cache.
 
-        Only reachable through :meth:`solve` / :meth:`solve_many`, which
-        validate the query first.  Cache lookups, kernel statistics and the
-        result's service counters are all recorded into ``context``.
+        Only reachable through :meth:`solve_many`, which validates the query
+        first.  Cache lookups, kernel statistics and the result's service
+        counters are all recorded into ``context``.
         """
         is_stg = isinstance(query, STGQuery)
         feasible, compiled = self._lookup(query.initiator, query.radius, context)
@@ -614,20 +631,13 @@ class QueryService:
         return result
 
     def solve(self, query: Query, context: Optional[ExecutionContext] = None) -> Result:
-        """Answer one query (SGQ or STGQ) and update the service stats.
+        """Answer one query (SGQ or STGQ): a one-query :meth:`solve_many`.
 
         Routed through the backend, so with ``backend="process"`` even a
         single query lands on the worker owning its initiator (keeping that
-        worker's cache hot).  ``context`` (optional, single-use) receives
-        the solve's exact accounting delta; one is created internally when
-        omitted.  Either way the delta is merged into the service totals on
-        completion.
+        worker's cache hot).
         """
-        self._validate(query)
-        ctx = context if context is not None else ExecutionContext()
-        result = self._backend.solve_batch(self, [query], ctx)[0]
-        self._merge_context(ctx)
-        return result
+        return self.solve_many([query], context)[0]
 
     def solve_many(
         self, queries: Iterable[Query], context: Optional[ExecutionContext] = None
@@ -656,31 +666,72 @@ class QueryService:
         return results
 
     # ------------------------------------------------------------------
-    # async front-end
+    # the request pipeline behind every front door
     # ------------------------------------------------------------------
-    async def solve_async(self, query: Query) -> Result:
-        """Awaitable :meth:`solve`; runs on the event loop's default executor."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.solve, query)
+    def parse_request(self, payload: Any) -> Query:
+        """Admit one decoded request payload: the check every front door runs.
 
-    async def solve_many_async(
-        self, queries: Iterable[Query], context: Optional[ExecutionContext] = None
-    ) -> List[Result]:
-        """Awaitable :meth:`solve_many` for pipelining batches.
+        :func:`~repro.service.codec.query_from_request` applies the field
+        rules, then the service rejects what it cannot answer.
 
-        The batch runs on the event loop's default executor, so an asyncio
-        front-end (e.g. the ``stgq serve --jsonl`` loop or the TCP worker)
-        can overlap reading and writing one batch with solving the next.
-        With the ``process`` backend the heavy lifting happens in the child
-        processes, outside this interpreter's GIL, so several in-flight
-        batches genuinely run in parallel.  ``context`` is forwarded to
-        :meth:`solve_many` — each in-flight batch gets its own, so their
-        deltas never smear.
+        Raises
+        ------
+        RequestError
+            Bad fields, every one named in its ``fields`` map.
+        QueryError
+            A payload that is not an object, an STGQ without calendars or
+            longer than the planning horizon.
+        VertexNotFoundError
+            An initiator that is not in the graph.
         """
-        batch: Sequence[Query] = list(queries)
-        loop = asyncio.get_running_loop()
-        call = functools.partial(self.solve_many, batch, context)
-        return await loop.run_in_executor(None, call)
+        query = query_from_request(payload)
+        self._validate(query)
+        return query
+
+    def answer(
+        self, payloads: Iterable[Any], context: Optional[ExecutionContext] = None
+    ) -> List[Union[Result, ErrorResult]]:
+        """Answer decoded request payloads: one outcome per payload, in order.
+
+        A payload that :meth:`parse_request` rejects is answered with an
+        :class:`~repro.service.codec.ErrorResult` carrying the reason; the
+        admitted rest is solved as one :meth:`solve_many` batch under
+        ``context``.  If that solve raises, each admitted payload gets an
+        ``ErrorResult`` with the error and nothing is merged into the
+        service totals (``context`` is then partial: drop it).  Either way
+        one bad payload never fails its batchmates and no error escapes, so
+        the JSONL loop and the TCP worker keep serving.
+        """
+        outcomes: List[Union[Query, ErrorResult]] = []
+        for payload in payloads:
+            try:
+                outcomes.append(self.parse_request(payload))
+            except ReproError as exc:
+                outcomes.append(ErrorResult(str(exc)))
+        queries = [outcome for outcome in outcomes if not isinstance(outcome, ErrorResult)]
+        try:
+            solved: Iterator[Union[Result, ErrorResult]] = iter(self.solve_many(queries, context))
+        except Exception as exc:  # the front doors must keep serving
+            logger.exception("a batch of %d queries failed", len(queries))
+            solved = itertools.repeat(ErrorResult(str(exc) or type(exc).__name__))
+        return [
+            outcome if isinstance(outcome, ErrorResult) else next(solved) for outcome in outcomes
+        ]
+
+    async def answer_async(
+        self, payloads: Iterable[Any], context: Optional[ExecutionContext] = None
+    ) -> List[Union[Result, ErrorResult]]:
+        """Awaitable :meth:`answer`, run on the event loop's default executor.
+
+        An asyncio front end (the ``stgq serve --jsonl`` loop, the TCP
+        worker) overlaps reading and writing one batch with answering the
+        next.  With the ``process`` backend the solving happens in the child
+        processes, outside this interpreter's GIL, so several in-flight
+        batches run in parallel.  Give each in-flight batch its own
+        ``context`` so their deltas never smear.
+        """
+        call = functools.partial(self.answer, list(payloads), context)
+        return await asyncio.get_running_loop().run_in_executor(None, call)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -10,6 +10,7 @@ from repro.core import SGQuery, STGQuery
 from repro.exceptions import QueryError
 from repro.experiments.workloads import workload
 from repro.service import QueryService, serve_jsonl
+from repro.service.codec import request_for
 from repro.service.jsonl import query_from_request, response_for
 
 
@@ -31,13 +32,8 @@ class TestAsyncFrontend:
             for initiator in dataset.people[:6]
         ]
         sync_results = service.solve_many(batch)
-        async_results = asyncio.run(service.solve_many_async(batch))
+        async_results = asyncio.run(service.answer_async([request_for(q) for q in batch]))
         assert [r.members for r in async_results] == [r.members for r in sync_results]
-
-    def test_solve_async_single(self, dataset, service):
-        query = SGQuery(initiator=dataset.people[0], group_size=4, radius=1, acquaintance=2)
-        result = asyncio.run(service.solve_async(query))
-        assert result.members == service.solve(query).members
 
     def test_pipelined_batches_run_concurrently(self, dataset, service):
         batches = [
@@ -49,7 +45,10 @@ class TestAsyncFrontend:
         ]
 
         async def pipeline():
-            tasks = [asyncio.ensure_future(service.solve_many_async(b)) for b in batches]
+            tasks = [
+                asyncio.ensure_future(service.answer_async([request_for(q) for q in b]))
+                for b in batches
+            ]
             return await asyncio.gather(*tasks)
 
         all_results = asyncio.run(pipeline())

@@ -211,10 +211,10 @@ class TestConcurrentBatchFrames:
         # some solves completed before the failure.
         harness = WorkerHarness(dataset).start()
 
-        async def explode(queries, **kwargs):
+        def explode(queries, context=None):
             raise RuntimeError("pool died")
 
-        harness.service.solve_many_async = explode
+        harness.service.solve_many = explode
         try:
             batch = build_batch(dataset, seed=42, n_queries=3, n_initiators=2, stg_fraction=0.0)
             requests = [request_for(query) for query in batch]

@@ -168,7 +168,7 @@ class TestJsonlDrain:
 # asyncio worker
 # ----------------------------------------------------------------------
 class _SlowAsyncService:
-    """Wraps a QueryService; solve_many_async blocks until released."""
+    """Wraps a QueryService; answer_async blocks until released."""
 
     def __init__(self, service):
         self._service = service
@@ -178,10 +178,10 @@ class _SlowAsyncService:
     def __getattr__(self, name):
         return getattr(self._service, name)
 
-    async def solve_many_async(self, queries, **kwargs):
+    async def answer_async(self, payloads, context=None):
         self.entered.set()
         await self.release.wait()
-        return await self._service.solve_many_async(queries, **kwargs)
+        return await self._service.answer_async(payloads, context)
 
 
 class TestWorkerDrain:

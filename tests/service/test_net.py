@@ -10,6 +10,8 @@ results, and the shard recovers once the worker is back.
 
 import asyncio
 import math
+import os
+import signal
 import socket
 import struct
 import threading
@@ -26,6 +28,7 @@ from repro.experiments.workloads import workload
 from repro.service import (
     ErrorResult,
     PlacementMap,
+    ProcessBackend,
     QueryService,
     RemoteBackend,
     build_placement,
@@ -617,11 +620,11 @@ class TestWorkerFailure:
         # would count queries whose callers only saw ErrorResults.
         harness = worker_pair[0]
 
-        async def explode(queries, **kwargs):
+        def explode(queries, context=None):
             raise RuntimeError("pool died")
 
-        original = harness.service.solve_many_async
-        harness.service.solve_many_async = explode
+        original = harness.service.solve_many
+        harness.service.solve_many = explode
         try:
             sock = _client_socket(harness.address)
             try:
@@ -635,10 +638,48 @@ class TestWorkerFailure:
             finally:
                 sock.close()
         finally:
-            harness.service.solve_many_async = original
+            harness.service.solve_many = original
         assert reply["type"] == "batch_result"
         assert reply["results"] == [{"error": "pool died"}]
         assert reply["stats_delta"] == {}
+
+    def test_worker_ships_its_dead_childs_errors_as_errors(self, dataset):
+        # A worker answering through a process backend whose child was
+        # SIGKILLed must send that shard's ErrorResults as {"error": ...}
+        # entries, so a gateway in front returns errors, not infeasible
+        # answers.
+        owners = {0: [], 1: []}
+        for person in dataset.people:
+            owners[stable_shard(person, 2)].append(person)
+        batch = [
+            SGQuery(initiator=person, group_size=3, radius=1, acquaintance=1)
+            for person in owners[0][:2] + owners[1][:2]
+        ]
+        with QueryService(dataset.graph, dataset.calendars) as reference:
+            expected = [(r.feasible, r.members) for r in reference.solve_many(batch)]
+        backend = ProcessBackend(workers=2)
+        harness = WorkerHarness(dataset, backend=backend).start()
+        try:
+            harness.service.solve(batch[0])  # starts both children
+            victim = backend._children.processes[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.wait(10)
+            sock = _client_socket(harness.address)
+            try:
+                requests = [request_for(query) for query in batch]
+                send_frame(sock, {"type": "batch", "id": 1, "requests": requests})
+                reply = recv_frame(sock)
+            finally:
+                sock.close()
+            assert [list(entry) for entry in reply["results"][:2]] == [["error"], ["error"]]
+            assert all("kind" in entry for entry in reply["results"][2:])
+            gateway_backend = RemoteBackend(harness.address)
+            with QueryService(dataset.graph, dataset.calendars, backend=gateway_backend) as gateway:
+                results = gateway.solve_many(batch)
+            assert all(isinstance(result, ErrorResult) for result in results[:2])
+            assert [(r.feasible, r.members) for r in results[2:]] == expected[2:]
+        finally:
+            harness.stop()
 
     def test_link_backoff_fails_fast_while_down(self):
         backend = RemoteBackend(
