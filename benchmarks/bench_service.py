@@ -623,7 +623,7 @@ def main(argv=None) -> int:
                 days=DATASET_DAYS,
                 seed=args.seed,
             )
-            http_urls = gateway_cluster.urls
+            http_urls = gateway_cluster.addresses
         if http_urls:
             print(f"\n== HTTP tier: replay via {len(http_urls)} gateway(s) ==")
             http_report = measure_http(http_urls, batches)

@@ -84,10 +84,10 @@ def main() -> None:
             N_GATEWAYS, connect=workers.connect_spec(), seed=SEED
         )
         try:
-            print(f"gateways: {', '.join(gateways.urls)}")
+            print(f"gateways: {', '.join(gateways.addresses)}")
 
             # 1. Byte-identity through each gateway independently.
-            for url in gateways.urls:
+            for url in gateways.addresses:
                 status, body, _ = post(url, {"queries": payloads, "page_size": 1024})
                 assert status == 200, f"batch POST failed: {status} {body}"
                 assert body["total"] == len(payloads)
@@ -100,7 +100,7 @@ def main() -> None:
             # gateways; the reassembled pages must equal the full batch.
             collected, cursor, hop = [], None, 0
             while True:
-                url = gateways.urls[hop % len(gateways.urls)]
+                url = gateways.addresses[hop % len(gateways.addresses)]
                 body_payload = {"queries": payloads, "page_size": 16}
                 if cursor is not None:
                     body_payload["cursor"] = cursor
@@ -115,7 +115,7 @@ def main() -> None:
             print(f"pagination: {hop} pages served by alternating gateways, identical")
 
             # 3. Health: both gateways see the whole fleet alive.
-            for url in gateways.urls:
+            for url in gateways.addresses:
                 with urllib.request.urlopen(f"{url}/health", timeout=10) as reply:
                     health = json.loads(reply.read())
                 assert health["status"] == "ok", health
@@ -135,7 +135,7 @@ def main() -> None:
             extra_args=["--admit-timeout", "0.2"],
         )
         try:
-            url = tiny.urls[0]
+            url = tiny.addresses[0]
             outcomes = []
             heavy = {"queries": payloads}  # the full workload per request
 
@@ -173,7 +173,7 @@ def main() -> None:
         # the request must complete (zero dropped) and the process exit 0.
         drained = start_local_gateways(1, connect=workers.connect_spec(), seed=SEED)
         process = drained.processes[0]
-        url = drained.urls[0]
+        url = drained.addresses[0]
         outcome = []
         client = threading.Thread(
             target=lambda: outcome.append(post(url, {"queries": payloads}, timeout=120.0))

@@ -15,16 +15,15 @@ Three sub-commands mirror how the library is typically used:
     Answer queries through the cached :class:`~repro.service.QueryService`
     on a selectable executor backend (``--backend serial|process|remote``,
     default ``serial``), either as a generated benchmark batch or as a
-    JSONL request loop over stdin/stdout (``--jsonl``).  ``--backend remote
-    --connect host:p1,host:p2`` turns the process into a cluster gateway.
+    JSONL request loop over stdin/stdout (``--jsonl``).  ``--backend
+    process --workers N`` is the one-command local fleet: N spawned workers
+    behind the same sharded dispatch path a gateway uses; ``--backend
+    remote --connect host:p1,host:p2`` turns the process into a gateway in
+    front of running ``stgq worker`` processes.
 
 ``stgq worker``
     Serve a local QueryService over the framed TCP protocol
     (``--listen HOST:PORT``); the building block gateways connect to.
-
-``stgq cluster``
-    One-command local cluster: spawn N ``stgq worker`` subprocesses plus a
-    gateway connected to them (equivalent to ``serve --backend remote``).
 
 ``stgq http``
     Run one HTTP/JSON gateway (``--listen HOST:PORT``): ``POST
@@ -54,7 +53,7 @@ Three sub-commands mirror how the library is typically used:
     saved workload trace, pack initiators onto ``--workers N`` workers by
     observed per-ego load, replicate the hottest egos across ``--replicas``
     workers and write the result as ``placement.json`` — the file
-    ``serve``/``worker``/``cluster``/``http`` accept via ``--placement``
+    ``serve``/``worker``/``http`` accept via ``--placement``
     and the ``placement_update`` control frame distributes live.
 
 ``stgq pack``
@@ -65,7 +64,7 @@ Three sub-commands mirror how the library is typically used:
     Print a ``.stgq`` file's header (vertex/edge counts, array dtypes,
     format revision, content version hash) without loading the arrays.
 
-``serve``/``worker``/``cluster``/``http`` install SIGINT/SIGTERM handlers
+``serve``/``worker``/``http`` install SIGINT/SIGTERM handlers
 that close the service first (draining worker processes, link threads and
 sockets), so Ctrl-C never leaks process-backend children.  The serving loops
 (``serve --jsonl``, ``worker``, ``http``) drain *in-flight requests* before
@@ -103,7 +102,8 @@ from .service import (
     serve_jsonl,
 )
 from .service.drain import ShutdownSignal
-from .service.net import parse_addresses, run_worker, start_local_workers
+from .service.net import parse_addresses, run_worker
+from .service.net.protocol import exchange
 
 __all__ = ["main", "build_parser"]
 
@@ -411,39 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_placement_arguments(worker)
     add_service_arguments(worker)
-
-    cluster = subparsers.add_parser(
-        "cluster",
-        help="one-command local cluster: N worker subprocesses + a gateway",
-        description=(
-            "Spawn N stgq worker subprocesses on ephemeral localhost ports, then "
-            "run a gateway (the equivalent of stgq serve --backend remote "
-            "--connect ...) against them. Workers are terminated when the "
-            "gateway exits, including on SIGINT/SIGTERM."
-        ),
-    )
-    cluster.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=2,
-        help="number of worker subprocesses (= shards) (default 2)",
-    )
-    cluster.add_argument(
-        "--worker-backend",
-        choices=list(BACKEND_NAMES),
-        default="serial",
-        help="executor backend inside each worker (default serial)",
-    )
-    cluster.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="gateway per-request timeout in seconds (default 30)",
-    )
-    _add_placement_arguments(cluster)
-    add_dataset_arguments(cluster)
-    add_traffic_arguments(cluster)
-    add_service_arguments(cluster)
 
     http = subparsers.add_parser(
         "http",
@@ -817,7 +784,7 @@ def _load_service_dataset(args: argparse.Namespace):
 
 
 def _service_session(args: argparse.Namespace, dataset, service: QueryService) -> int:
-    """The serve/cluster gateway body: JSONL loop or a generated batch."""
+    """The ``stgq serve`` body: JSONL loop or a generated batch."""
     with service:
         if args.jsonl:
             # Deferred-signal serving: SIGTERM/SIGINT stop the read loop and
@@ -1043,87 +1010,6 @@ def _command_http(args: argparse.Namespace) -> int:
     return code
 
 
-def _command_cluster(args: argparse.Namespace) -> int:
-    try:
-        placement = _resolve_placement(args)
-        if placement is not None and placement.n_shards != args.workers:
-            raise QueryError(
-                f"placement map routes over {placement.n_shards} shards "
-                f"but --workers is {args.workers}"
-            )
-    except QueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    dataset = generate_real_dataset(
-        n_people=args.people, schedule_days=args.days, seed=args.seed
-    )
-    with _graceful_shutdown():
-        cluster = start_local_workers(
-            args.workers,
-            people=args.people,
-            days=args.days,
-            seed=args.seed,
-            backend=args.worker_backend,
-            cache_size=args.cache_size,
-            kernel=args.kernel,
-            placement=args.placement,
-        )
-        try:
-            print(
-                f"cluster up: {args.workers} workers at {cluster.connect_spec()}",
-                file=sys.stderr,
-            )
-            if placement is not None:
-                print(
-                    f"placement: version {placement.version} "
-                    f"({len(placement.assignments)} assigned, "
-                    f"{len(placement.replicas)} replicated egos)",
-                    file=sys.stderr,
-                )
-            try:
-                backend = RemoteBackend(
-                    cluster.connect_spec(), timeout=args.timeout, placement=placement
-                )
-            except QueryError as exc:  # e.g. --timeout 0: usage error, not a traceback
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            service = QueryService(
-                dataset.graph,
-                dataset.calendars,
-                parameters=SearchParameters(kernel=args.kernel),
-                cache_size=args.cache_size,
-                backend=backend,
-            )
-            return _service_session(args, dataset, service)
-        except SystemExit as exc:
-            return _shutdown_code(exc)
-        finally:
-            cluster.close()
-            print("cluster workers terminated", file=sys.stderr)
-
-
-def _fetch_worker_stats(address: Tuple[str, int], timeout: float) -> dict:
-    """One stats control-frame round trip (hello handshake first).
-
-    Raises ``OSError`` on transport failures and ``ProtocolError``/
-    ``QueryError`` on protocol surprises, all rendered as per-worker errors
-    by ``_command_stats``.
-    """
-    import socket
-
-    from .service.net.protocol import client_handshake, recv_frame, send_frame
-
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        hello = client_handshake(sock)
-        send_frame(sock, {"type": "stats"})
-        reply = recv_frame(sock)
-        if reply.get("type") != "stats":
-            raise QueryError(f"unexpected reply type {reply.get('type')!r}")
-        reply["hello"] = hello
-        return reply
-
-
 def _print_worker_stats(label: str, reply: dict) -> None:
     hello = reply.get("hello", {})
     stats = reply.get("stats", {})
@@ -1170,10 +1056,13 @@ def _command_stats(args: argparse.Namespace) -> int:
     for host, port in addresses:
         label = f"{host}:{port}"
         try:
-            reply = _fetch_worker_stats((host, port), args.timeout)
+            hello, reply = exchange((host, port), {"type": "stats"}, args.timeout)
+            if reply.get("type") != "stats":
+                raise QueryError(f"unexpected reply type {reply.get('type')!r}")
         except (OSError, ReproError) as exc:
             print(f"worker {label}  UNREACHABLE: {exc}", file=sys.stderr)
             continue
+        reply["hello"] = hello
         reached += 1
         if args.json:
             print(json_module.dumps({"worker": label, **reply}, sort_keys=True))
@@ -1185,14 +1074,11 @@ def _command_stats(args: argparse.Namespace) -> int:
 
 
 def _command_mutate(args: argparse.Namespace) -> int:
-    import socket as socket_module
-
     from .graph.mutations import (
         generate_mutation_trace,
         load_mutation_trace,
         save_mutation_trace,
     )
-    from .service.net.protocol import client_handshake
 
     try:
         dataset = _load_service_dataset(args)
@@ -1268,11 +1154,7 @@ def _command_mutate(args: argparse.Namespace) -> int:
             for host, port in parse_addresses(args.connect):
                 label = f"{host}:{port}"
                 try:
-                    with socket_module.create_connection(
-                        (host, port), timeout=args.timeout
-                    ) as sock:
-                        sock.settimeout(args.timeout)
-                        hello = client_handshake(sock)
+                    hello, _ = exchange((host, port), timeout=args.timeout)
                 except (OSError, ReproError) as exc:
                     print(f"worker {label}  UNREACHABLE: {exc}", file=sys.stderr)
                     mismatched.append(label)
@@ -1450,8 +1332,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_serve(args)
     if args.command == "worker":
         return _command_worker(args)
-    if args.command == "cluster":
-        return _command_cluster(args)
     if args.command == "http":
         return _command_http(args)
     if args.command == "stats":

@@ -3,9 +3,10 @@
 Each ``run_figure_1x`` function builds the workload described in
 :mod:`repro.experiments.config`, runs the algorithms the paper compares in
 that panel, and returns a :class:`~repro.experiments.runner.FigureSeries`
-with the measured series.  The pytest-benchmark files under ``benchmarks/``
-are thin wrappers over these runners, and ``python -m repro figure 1e``
-prints them from the command line.
+with the measured series; ``python -m repro figure 1e`` prints them from
+the command line.  The pytest-benchmark panels ``benchmarks/bench_fig1*.py``
+do not call these runners: they re-implement the sweeps, so the two
+harnesses can drift apart.
 
 The absolute running times are not comparable with the paper's (different
 hardware, C vs. pure Python); the claims reproduced are the *shapes*:

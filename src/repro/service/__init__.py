@@ -30,9 +30,11 @@ the solvers into that shape:
   TCP protocol, :class:`~repro.service.net.RemoteBackend` is the drop-in
   executor backend that shards initiators across those workers (CRC32
   fallback or a load-aware :class:`PlacementMap` with hot-ego replication
-  and replica failover — see ``docs/placement.md``), and ``stgq cluster``
-  boots a local N-worker cluster plus gateway in one command.  See
-  ``docs/service.md`` for the architecture page and wire-protocol spec.
+  and replica failover — see ``docs/placement.md``).  ``stgq serve
+  --backend process --workers N`` is the one-command local fleet: the
+  process backend is a ``RemoteBackend`` over ``N`` workers it spawns on
+  127.0.0.1.  See ``docs/service.md`` for the architecture page and
+  wire-protocol spec.
 * **HTTP gateway tier** — :mod:`repro.service.http` is the product front
   door: stateless HTTP/JSON gateways (``stgq http``) with request
   validation, cursor pagination, per-API-key rate limiting and bounded-
@@ -93,7 +95,6 @@ from .http import (
     GatewayApp,
     GatewayConfig,
     HTTPGateway,
-    LocalGatewayCluster,
     run_gateway,
     start_local_gateways,
 )
@@ -119,7 +120,6 @@ __all__ = [
     "GatewayApp",
     "GatewayConfig",
     "HTTPGateway",
-    "LocalGatewayCluster",
     "LocalWorkerCluster",
     "MUTATION_LOG_CAPACITY",
     "MutationReport",

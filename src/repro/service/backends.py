@@ -44,7 +44,7 @@ import os
 import pickle
 import threading
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Union
 
 from ..exceptions import QueryError
 from ..graph.mutations import MutationBatch
@@ -202,7 +202,6 @@ class ProcessBackend(RemoteBackend):
         # Routing state now; the links are attached once the children have
         # started and announced their ports (see _ensure_started).
         self._init_shards(workers or os.cpu_count() or 1, placement)
-        self._link_options: Tuple[float, ...] = ()  # the RemoteBackend defaults
         self._children: Optional[LocalWorkerCluster] = None
         self._finalizer: Optional[weakref.finalize] = None
         self._bound_service: Optional["QueryService"] = None
@@ -359,8 +358,6 @@ def make_backend(
                 "backend 'remote' needs worker addresses: "
                 "make_backend('remote', connect='host:port,host:port')"
             )
-        if timeout is not None:
-            return RemoteBackend(connect, timeout=timeout, placement=placement)
-        return RemoteBackend(connect, placement=placement)
+        return RemoteBackend(connect, timeout=timeout, placement=placement)
     names = ", ".join(ALL_BACKEND_NAMES)
     raise QueryError(f"unknown backend {backend!r}; expected one of {names}")

@@ -20,7 +20,8 @@ Module map (the routes/app split):
 * :mod:`.ratelimit` — per-API-key token buckets.
 * :mod:`.pagination` — stateless cursors over batch results.
 * :mod:`.accesslog` — structured JSONL access log.
-* :mod:`.cluster` — local N-gateway launcher for benches and CI.
+* :mod:`.cluster` — local N-gateway launcher for benches and CI (the
+  workers' spawn path with an HTTP readiness marker and health probe).
 
 ``docs/http.md`` is the operator-facing tour (routes, wire examples,
 admission knobs, multi-gateway deployment).
@@ -29,7 +30,7 @@ admission knobs, multi-gateway deployment).
 from .accesslog import AccessLog
 from .admission import AdmissionController
 from .app import GatewayApp, GatewayConfig, HTTPGateway, READY_MARKER, run_gateway
-from .cluster import LocalGatewayCluster, start_local_gateways
+from .cluster import start_local_gateways
 from .pagination import DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, decode_cursor, encode_cursor, paginate
 from .ratelimit import RateLimiter, parse_rate_spec
 from .routes import RouteResponse
@@ -41,7 +42,6 @@ __all__ = [
     "GatewayApp",
     "GatewayConfig",
     "HTTPGateway",
-    "LocalGatewayCluster",
     "MAX_PAGE_SIZE",
     "RateLimiter",
     "READY_MARKER",

@@ -15,10 +15,11 @@ This package scales the service layer past one box, the step the
   degrades dead workers to per-request error results instead of failed
   batches.  It is the only sharded dispatch path: the ``process`` backend
   is a ``RemoteBackend`` over workers it spawns on 127.0.0.1.
-* :mod:`~repro.service.net.cluster` — the local launcher: worker
-  subprocesses for one-command clusters (``stgq cluster --workers N``), the
-  ``process`` backend's children, and the helpers the HTTP gateway
-  launcher shares.
+* :mod:`~repro.service.net.cluster` — the local launcher, one spawn path
+  for every locally started server: the ``process`` backend's children
+  (``stgq serve --backend process --workers N``, the one-command local
+  fleet), ``stgq worker`` fleets for multi-gateway topologies, and the
+  HTTP gateways of :func:`~repro.service.http.start_local_gateways`.
 
 See ``docs/service.md`` for the full architecture page and wire-protocol
 specification.

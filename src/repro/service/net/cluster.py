@@ -1,14 +1,18 @@
 """Local launcher: serving subprocesses on this machine.
 
-:func:`start_local_workers` spawns ``python -m repro worker --listen
-127.0.0.1:0 ...`` processes serving one seeded dataset (``stgq cluster``,
-the remote leg of ``benchmarks/bench_service.py``);
+Every locally spawned server starts through :func:`_launch`:
 :func:`start_service_workers` spawns the children of a
-:class:`~repro.service.ProcessBackend`; the HTTP gateway launcher reuses the
-helpers.  Every child prints ``<READY marker> host port`` once it listens:
-:func:`_await_ready` reads it off the child's stdout, and
-:func:`_stop_processes` tears children down — SIGTERM first (their signal
-handlers drain in-flight requests), then SIGKILL for stragglers.
+:class:`~repro.service.ProcessBackend` (the workers behind ``stgq serve
+--backend process --workers N``, the one-command local fleet);
+:func:`start_local_workers` spawns ``python -m repro worker --listen
+127.0.0.1:0 ...`` processes serving one seeded dataset, for topologies that
+put several gateways in front of one fleet (``examples/http_smoke.py``, the
+benchmarks); :func:`repro.service.http.start_local_gateways` spawns ``stgq
+http`` gateways.  Every child prints ``<READY marker> host port`` once it
+listens: :func:`_await_ready` reads it off the child's stdout, a liveness
+probe checks the child answers, and :func:`_stop_processes` tears children
+down — SIGTERM first (their signal handlers drain in-flight requests), then
+SIGKILL for stragglers.
 
 This is the local, laptop-scale deployment; the same worker command behind
 a k8s Service is the multi-node shape the ROADMAP points at.
@@ -18,25 +22,30 @@ from __future__ import annotations
 
 import os
 import queue
-import socket
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ...exceptions import ProtocolError, WorkerUnavailableError
-from .protocol import client_handshake, recv_frame, send_frame
-from .remote import parse_addresses
+from .protocol import exchange
 from .worker import READY_MARKER
 
 __all__ = ["LocalWorkerCluster", "start_local_workers", "start_service_workers"]
 
+#: Seconds a spawned child may take to print its READY line.
+STARTUP_TIMEOUT = 120.0
+
 
 @dataclass
 class LocalWorkerCluster:
-    """Handle on a set of locally spawned worker subprocesses."""
+    """Handle on a set of locally spawned serving subprocesses.
+
+    ``addresses`` holds what each child's liveness probe returned:
+    ``host:port`` for a worker, ``http://host:port`` for an HTTP gateway.
+    """
 
     processes: List[subprocess.Popen] = field(default_factory=list)
     addresses: List[str] = field(default_factory=list)
@@ -45,8 +54,8 @@ class LocalWorkerCluster:
         """The ``--connect`` string a gateway needs (``host:p1,host:p2``)."""
         return ",".join(self.addresses)
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Terminate every worker (graceful SIGTERM, then SIGKILL)."""
+    def close(self, timeout: float = 30.0) -> None:
+        """Terminate every child (graceful SIGTERM, then SIGKILL)."""
         _stop_processes(self.processes, timeout)
         self.processes = []
         self.addresses = []
@@ -69,9 +78,7 @@ def _repro_env() -> dict:
     return env
 
 
-def _await_ready(
-    process: subprocess.Popen, marker: str, startup_timeout: float, role: str = "worker"
-) -> Tuple[str, str]:
+def _await_ready(process: subprocess.Popen, marker: str) -> Tuple[str, str]:
     """Read a child's stdout until its ``marker host port`` line; returns ``(host, port)``.
 
     A daemon reader thread performs the blocking ``readline`` calls and the
@@ -79,7 +86,7 @@ def _await_ready(
     jsonl's ``_RequestReader``, and for the same reasons: ``select`` on the
     text wrapper misses lines already pulled into its buffer and cannot
     poll pipes at all on some platforms, while a bare ``readline`` would
-    ignore ``startup_timeout`` entirely for a child that hangs silently.
+    ignore :data:`STARTUP_TIMEOUT` entirely for a child that hangs silently.
     A timed-out reader thread stays parked on ``readline`` until the
     caller's cleanup terminates the process (EOF releases it).
     """
@@ -97,16 +104,16 @@ def _await_ready(
             pass
         outcome.put(None)  # EOF without a READY line
 
-    threading.Thread(target=_pump, name=f"stgq-{role}-ready", daemon=True).start()
+    threading.Thread(target=_pump, name="stgq-launch-ready", daemon=True).start()
     try:
-        address = outcome.get(timeout=startup_timeout)
+        address = outcome.get(timeout=STARTUP_TIMEOUT)
     except queue.Empty:
         raise WorkerUnavailableError(
-            f"{role} did not announce readiness within {startup_timeout}s"
+            f"child did not print {marker} within {STARTUP_TIMEOUT}s"
         ) from None
     if address is None:
         raise WorkerUnavailableError(
-            f"{role} process exited (code {process.poll()}) before announcing readiness"
+            f"child exited (code {process.poll()}) before printing {marker}"
         )
     return address
 
@@ -132,33 +139,36 @@ def _stop_processes(processes: Sequence[subprocess.Popen], timeout: float) -> No
                     pass
 
 
-def _ping(address: str, timeout: float = 5.0) -> None:
-    """Handshake + ping one worker; raises ``WorkerUnavailableError``."""
+def _ping(host: str, port: str) -> str:
+    """Handshake + ping one spawned worker; returns its ``host:port``."""
+    address = f"{host}:{port}"
     try:
-        with socket.create_connection(parse_addresses(address)[0], timeout=timeout) as sock:
-            sock.settimeout(timeout)
-            client_handshake(sock)
-            send_frame(sock, {"type": "ping", "id": 0})
-            pong = recv_frame(sock)
-            if pong.get("type") != "pong":
-                raise WorkerUnavailableError(f"worker {address} did not answer a ping: {pong}")
-    except ProtocolError as exc:
-        raise WorkerUnavailableError(f"worker {address} failed the handshake: {exc}") from exc
-    except OSError as exc:
-        raise WorkerUnavailableError(f"cannot reach spawned worker {address}: {exc}") from exc
+        _, pong = exchange((host, int(port)), {"type": "ping", "id": 0})
+    except (OSError, ProtocolError) as exc:
+        raise WorkerUnavailableError(f"spawned worker {address} failed its ping: {exc}") from exc
+    if pong.get("type") != "pong":
+        raise WorkerUnavailableError(f"worker {address} did not answer a ping: {pong}")
+    return address
 
 
 def _launch(
-    command: List[str], count: int, startup_timeout: float, state: Optional[bytes] = None
+    command: List[str],
+    count: int,
+    marker: str,
+    probe: Callable[[str, str], str],
+    state: Optional[bytes] = None,
 ) -> LocalWorkerCluster:
-    """Spawn ``count`` workers running ``command`` and wait until each is pinged.
+    """Spawn ``count`` children running ``command``; return once each is probed.
 
-    ``state``, when given, is written to every worker's stdin, which then
-    stays open: the worker exits when it closes.  On any startup failure the
-    already-spawned workers are torn down.
+    Each child prints ``<marker> host port`` once it listens;
+    ``probe(host, port)`` then checks that it answers (raising
+    ``WorkerUnavailableError`` if not) and returns the address to record.
+    ``state``, when given, is written to every child's stdin, which then
+    stays open: the child exits when it closes.  On any startup failure the
+    already-spawned children are torn down.
     """
     if count < 1:
-        raise WorkerUnavailableError(f"worker count must be >= 1, got {count}")
+        raise WorkerUnavailableError(f"process count must be >= 1, got {count}")
     cluster = LocalWorkerCluster()
     env = _repro_env()
     try:
@@ -179,10 +189,7 @@ def _launch(
                 process.stdin.buffer.write(state)
                 process.stdin.buffer.flush()
         for process in cluster.processes:
-            host, port = _await_ready(process, READY_MARKER, startup_timeout)
-            address = f"{host}:{port}"
-            _ping(address)
-            cluster.addresses.append(address)
+            cluster.addresses.append(probe(*_await_ready(process, marker)))
     except BaseException:
         cluster.close()
         raise
@@ -197,19 +204,13 @@ def start_local_workers(
     backend: str = "serial",
     workers: Optional[int] = None,
     cache_size: int = 128,
-    kernel: str = "compiled",
-    startup_timeout: float = 120.0,
-    placement: Optional[str] = None,
 ) -> LocalWorkerCluster:
-    """Spawn ``count`` worker subprocesses serving the same seeded dataset.
+    """Spawn ``count`` ``stgq worker`` subprocesses serving the same seeded dataset.
 
     Each worker binds an ephemeral 127.0.0.1 port (``--listen 127.0.0.1:0``)
-    and is pinged before this returns, so the cluster is ready for a
-    gateway's :class:`~repro.service.net.RemoteBackend` immediately.  On any
-    startup failure the already-spawned workers are torn down.  ``placement``
-    names a ``placement.json`` file every worker pre-loads (``--placement``),
-    so the fleet boots already holding the load-aware map instead of waiting
-    for a ``placement_update`` push.
+    and is pinged before this returns, so the fleet is ready for any number
+    of gateways' :class:`~repro.service.net.RemoteBackend` immediately.  On
+    any startup failure the already-spawned workers are torn down.
     """
     command = [
         sys.executable,
@@ -228,19 +229,13 @@ def start_local_workers(
         backend,
         "--cache-size",
         str(cache_size),
-        "--kernel",
-        kernel,
     ]
     if workers is not None:
         command += ["--workers", str(workers)]
-    if placement is not None:
-        command += ["--placement", str(placement)]
-    return _launch(command, count, startup_timeout)
+    return _launch(command, count, READY_MARKER, _ping)
 
 
-def start_service_workers(
-    count: int, state: bytes, startup_timeout: float = 120.0
-) -> LocalWorkerCluster:
+def start_service_workers(count: int, state: bytes) -> LocalWorkerCluster:
     """Spawn ``count`` workers that each serve the pickled service ``state``.
 
     ``state`` is what :func:`~repro.service.net.worker.run_spawned_worker`
@@ -255,4 +250,4 @@ def start_service_workers(
         "from repro.service.net.worker import run_spawned_worker; "
         "raise SystemExit(run_spawned_worker())",
     ]
-    return _launch(command, count, startup_timeout, state)
+    return _launch(command, count, READY_MARKER, _ping, state)

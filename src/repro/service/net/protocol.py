@@ -89,8 +89,9 @@ All frames are JSON objects with a ``"type"`` key:
 
 Both an asyncio flavour (:func:`read_frame`/:func:`write_frame`, used by
 the worker server) and a blocking-socket flavour (:func:`recv_frame`/
-:func:`send_frame`, used by the gateway's worker links) are provided so
-neither side has to adapt its concurrency model to the other.
+:func:`send_frame`, used by the gateway's worker links and the one-shot
+:func:`exchange`) are provided so neither side has to adapt its concurrency
+model to the other.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ import json
 import socket
 import struct
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ...exceptions import ProtocolError
 
@@ -108,6 +109,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "client_handshake",
+    "exchange",
     "read_frame",
     "recv_frame",
     "send_frame",
@@ -210,10 +212,10 @@ def client_handshake(
 ) -> Dict[str, Any]:
     """Send a ``hello`` and validate the worker's reply; returns its hello.
 
-    The one client-side handshake every blocking-socket caller (gateway
-    connections, ``stgq cluster`` readiness pings, ``stgq stats``) shares,
-    so the version check cannot silently diverge between entry points.
-    Raises :class:`ProtocolError` on a refusal, a non-hello reply, or a
+    The one client-side handshake both blocking-socket clients (the
+    gateway's worker links and :func:`exchange`) share, so the version
+    check cannot silently diverge between entry points.  Raises
+    :class:`ProtocolError` on a refusal, a non-hello reply, or a
     protocol-version mismatch.
     """
     send_frame(sock, {"type": "hello", "v": PROTOCOL_VERSION})
@@ -226,3 +228,25 @@ def client_handshake(
             f"v={reply.get('v')!r} (expected hello v{PROTOCOL_VERSION})"
         )
     return reply
+
+
+def exchange(
+    address: Tuple[str, int], frame: Optional[Dict[str, Any]] = None, timeout: float = 5.0
+) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
+    """One blocking one-shot exchange with a worker: connect, handshake, ask once.
+
+    Sends ``frame`` (when given) after the handshake and returns ``(hello,
+    reply)``, with ``reply`` ``None`` when no frame was sent.  The
+    connection closes on return.  This is how the launcher's readiness
+    ping, ``stgq stats`` and the ``stgq mutate --connect`` receipt talk to
+    a worker.  Raises ``OSError`` on transport failures (``timeout``
+    bounds the connect and every read) and :class:`ProtocolError` on a
+    failed handshake or broken framing.
+    """
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.settimeout(timeout)
+        hello = client_handshake(sock)
+        if frame is None:
+            return hello, None
+        send_frame(sock, frame)
+        return hello, recv_frame(sock)

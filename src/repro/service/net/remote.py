@@ -71,6 +71,16 @@ __all__ = ["RemoteBackend", "parse_addresses"]
 
 Address = Tuple[str, int]
 
+#: TCP connect timeout of a worker link, in seconds.
+CONNECT_TIMEOUT = 5.0
+#: Reconnect backoff: after ``n`` consecutive failures a link fails fast for
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(n-1))`` seconds.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: Absolute cap on one sub-batch round trip, whatever its size: a wedged
+#: worker must not hold a huge batch hostage for ``timeout * N`` seconds.
+MAX_BATCH_TIMEOUT = 300.0
+
 
 def parse_addresses(connect: Union[str, Iterable[Union[str, Address]]]) -> List[Address]:
     """Normalise a ``--connect`` spec to a list of ``(host, port)`` pairs.
@@ -110,28 +120,16 @@ class _WorkerLink:
     so concurrent batches to *different* workers proceed in parallel and a
     stalled worker never holds up another shard's requests.  Connection
     failures open a fail-fast window that grows exponentially
-    (``backoff_base * 2**failures``, capped), so while a worker is down its
+    (``BACKOFF_BASE * 2**failures``, capped), so while a worker is down its
     shard's requests error out immediately instead of each paying a connect
-    timeout.  The defaults are :class:`RemoteBackend`'s.
+    timeout.  ``timeout`` is :class:`RemoteBackend`'s; the connect, backoff
+    and batch-cap knobs are this module's constants.
     """
 
-    def __init__(
-        self,
-        shard: int,
-        address: Address,
-        timeout: float = 30.0,
-        connect_timeout: float = 5.0,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        max_batch_timeout: float = 300.0,
-    ) -> None:
+    def __init__(self, shard: int, address: Address, timeout: float) -> None:
         self.shard = shard
         self.address = address
         self.timeout = timeout
-        self.connect_timeout = connect_timeout
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.max_batch_timeout = max_batch_timeout
         self._sock: Optional[socket.socket] = None
         self._lock = threading.Lock()
         self._failures = 0
@@ -145,7 +143,7 @@ class _WorkerLink:
 
     def _register_failure(self) -> None:
         self._failures += 1
-        delay = min(self.backoff_cap, self.backoff_base * (2 ** (self._failures - 1)))
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (self._failures - 1)))
         self._retry_at = time.monotonic() + delay
 
     def _drop_locked(self) -> None:
@@ -163,7 +161,7 @@ class _WorkerLink:
                 f"worker {self.label} unavailable (reconnect backoff, {remaining:.2f}s left)"
             )
         try:
-            sock = socket.create_connection(self.address, timeout=self.connect_timeout)
+            sock = socket.create_connection(self.address, timeout=CONNECT_TIMEOUT)
         except OSError as exc:
             self._register_failure()
             raise WorkerUnavailableError(f"cannot connect to worker {self.label}: {exc}") from exc
@@ -198,7 +196,7 @@ class _WorkerLink:
         # Scale with the sub-batch so large healthy batches are never
         # spuriously degraded, but cap the total: a wedged worker must not
         # stall a batch for timeout * N seconds (hours at defaults).
-        cap = max(self.timeout, self.max_batch_timeout)
+        cap = max(self.timeout, MAX_BATCH_TIMEOUT)
         budget_seconds = min(self.timeout * max(1, budget), cap)
         with self._lock:
             if self._sock is None:
@@ -272,16 +270,11 @@ class RemoteBackend:
         by ``timeout``), so large healthy batches are never spuriously
         degraded while a stalled worker is still cut off deterministically.
         On expiry the sub-batch yields error results and the connection is
-        dropped (re-established on a later batch).
-    max_batch_timeout:
-        Absolute cap on one sub-batch round trip, whatever its size
-        (default 300 s) — a wedged worker must not hold a huge batch
-        hostage for ``timeout * N`` seconds.
-    connect_timeout:
-        TCP connect + handshake timeout.
-    backoff_base / backoff_cap:
-        Exponential reconnect backoff: after ``n`` consecutive failures a
-        link fails fast for ``min(cap, base * 2**(n-1))`` seconds.
+        dropped (re-established on a later batch).  Default 30 s, which the
+        process backend keeps.  The connect timeout, the reconnect backoff
+        and the absolute cap on one sub-batch round trip are module
+        constants (:data:`CONNECT_TIMEOUT`, :data:`BACKOFF_BASE`,
+        :data:`BACKOFF_CAP`, :data:`MAX_BATCH_TIMEOUT`).
     placement:
         Optional :class:`~repro.service.placement.PlacementMap` replacing
         the CRC32 fallback; its ``n_shards`` must equal the address count.
@@ -298,28 +291,21 @@ class RemoteBackend:
     """
 
     name = "remote"
+    #: Per-request time budget in seconds unless ``timeout=`` overrides it.
+    timeout = 30.0
 
     def __init__(
         self,
         connect: Union[str, Iterable[Union[str, Address]]],
-        timeout: float = 30.0,
-        connect_timeout: float = 5.0,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        max_batch_timeout: float = 300.0,
+        timeout: Optional[float] = None,
         placement: Optional[PlacementMap] = None,
     ) -> None:
-        if timeout <= 0 or connect_timeout <= 0 or max_batch_timeout <= 0:
-            raise QueryError("timeouts must be positive")
+        if timeout is not None:
+            if timeout <= 0:
+                raise QueryError("timeout must be positive")
+            self.timeout = timeout
         addresses = parse_addresses(connect)
         self._init_shards(len(addresses), placement)
-        self._link_options = (
-            timeout,
-            connect_timeout,
-            backoff_base,
-            backoff_cap,
-            max_batch_timeout,
-        )
         self._attach(addresses)
 
     def _init_shards(self, workers: int, placement: Optional[PlacementMap]) -> None:
@@ -339,8 +325,7 @@ class RemoteBackend:
     def _attach(self, addresses: List[Address]) -> None:
         """Point shard ``i`` at ``addresses[i]`` through a fresh link."""
         self._links = [
-            _WorkerLink(shard, address, *self._link_options)
-            for shard, address in enumerate(addresses)
+            _WorkerLink(shard, address, self.timeout) for shard, address in enumerate(addresses)
         ]
         self.addresses = addresses
 

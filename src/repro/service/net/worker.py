@@ -247,8 +247,8 @@ class WorkerServer:
             graph_version = frame.get("graph_version")
             try:
                 if graph_path is not None:
-                    await loop.run_in_executor(
-                        None, self._reload_substrate, graph_path, graph_version
+                    self.service.graph = await loop.run_in_executor(
+                        None, self._open_substrate, graph_path, graph_version
                     )
                 await loop.run_in_executor(None, self.service.clear_cache)
             except Exception as exc:
@@ -378,41 +378,33 @@ class WorkerServer:
         reply = {"type": "error", "error": f"unknown frame type {ftype!r}", "id": frame.get("id")}
         return reply, True
 
-    def _reload_substrate(self, path: str, version: Optional[str]) -> None:
-        """Swap the service's graph for the substrate at ``path`` (blocking).
+    @staticmethod
+    def _open_substrate(path: Any, version: Any):
+        """Open the ``.stgq`` substrate a frame names, memory-mapped (blocking).
 
-        Runs on the executor, never on the event loop.  The version check
-        catches a file that changed (or differs across nodes) underneath
-        the fleet; the subsequent ``clear_cache`` then restarts any
-        process-backend children this service itself runs on the new graph.
+        The version check catches a file that changed (or differs across
+        nodes) underneath the fleet.  Both frames that name a substrate
+        (``cache_clear`` and ``snapshot``) open it here, on the executor.
         """
         from ...graph.csr import load_stgq
 
-        graph = load_stgq(path, mmap=True)
+        graph = load_stgq(str(path), mmap=True)
         if version is not None and graph.version != version:
             raise ProtocolError(
                 f"substrate {path} has version {graph.version}, gateway expects {version}"
             )
-        self.service.graph = graph
+        return graph
 
     def _apply_snapshot(self, payload: Dict[str, Any], graph_path: Any, graph_version: Any) -> int:
         """Apply a snapshot frame's state swap (blocking; runs on the executor).
 
-        The reference form re-opens the named ``.stgq`` substrate (mmap'd,
-        version-checked) and hands it to :meth:`QueryService.apply_snapshot`
-        in place of inline topology, so a full catch-up ships a file
-        reference instead of the graph.
+        The reference form hands the re-opened substrate to
+        :meth:`QueryService.apply_snapshot` in place of inline topology, so
+        a full catch-up ships a file reference instead of the graph.
         """
         graph = None
         if graph_path is not None:
-            from ...graph.csr import load_stgq
-
-            graph = load_stgq(str(graph_path), mmap=True)
-            if graph_version is not None and graph.version != graph_version:
-                raise ProtocolError(
-                    f"substrate {graph_path} has version {graph.version}, "
-                    f"gateway expects {graph_version}"
-                )
+            graph = self._open_substrate(graph_path, graph_version)
         return self.service.apply_snapshot(payload, graph=graph)
 
     async def _handle_batch(self, frame: Dict[str, Any]) -> Dict[str, Any]:

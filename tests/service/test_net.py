@@ -41,7 +41,7 @@ from repro.service.codec import (
     request_for,
     response_for,
 )
-from repro.service.net import WorkerServer, parse_addresses
+from repro.service.net import WorkerServer, parse_addresses, remote
 from repro.service.net.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -60,6 +60,13 @@ from .test_placement import SOLVER_COUNTERS
 def dataset():
     """Seeded 60-person workload shared by every test in this module."""
     return workload(network_size=60, schedule_days=1, seed=7)
+
+
+def set_link_constants(monkeypatch, connect_timeout, backoff_base=0.01, backoff_cap=0.05):
+    """Set the worker links' connect timeout and reconnect backoff for one test."""
+    monkeypatch.setattr(remote, "CONNECT_TIMEOUT", connect_timeout)
+    monkeypatch.setattr(remote, "BACKOFF_BASE", backoff_base)
+    monkeypatch.setattr(remote, "BACKOFF_CAP", backoff_cap)
 
 
 # ----------------------------------------------------------------------
@@ -378,13 +385,14 @@ class TestRemoteCacheClear:
             stats = backend.worker_stats()[0]
             assert stats is not None and stats["cache"]["size"] == 0
 
-    def test_clear_cache_raises_when_worker_unreachable(self):
+    def test_clear_cache_raises_when_worker_unreachable(self, monkeypatch):
         """Invalidation must not silently no-op against a dead worker."""
         from repro.graph import SocialGraph
 
         graph = SocialGraph()
         graph.add_edge(0, 1, 1.0)
-        backend = RemoteBackend(["127.0.0.1:9"], timeout=0.5, connect_timeout=0.3)
+        monkeypatch.setattr(remote, "CONNECT_TIMEOUT", 0.3)
+        backend = RemoteBackend(["127.0.0.1:9"], timeout=0.5)
         with QueryService(graph, backend=backend) as service:
             with pytest.raises(WorkerUnavailableError, match="cache clear incomplete"):
                 service.clear_cache()
@@ -467,15 +475,10 @@ class TestRemoteEquivalence:
 # failure containment + recovery (acceptance criterion)
 # ----------------------------------------------------------------------
 class TestWorkerFailure:
-    def test_dead_worker_yields_per_request_errors_then_recovers(self, dataset):
+    def test_dead_worker_yields_per_request_errors_then_recovers(self, dataset, monkeypatch):
         workers = [WorkerHarness(dataset).start() for _ in range(2)]
-        backend = RemoteBackend(
-            [w.address for w in workers],
-            timeout=10.0,
-            connect_timeout=2.0,
-            backoff_base=0.01,
-            backoff_cap=0.05,
-        )
+        set_link_constants(monkeypatch, connect_timeout=2.0)
+        backend = RemoteBackend([w.address for w in workers], timeout=10.0)
         victim_port = workers[0].port
         batch = build_batch(dataset, seed=11, n_queries=16, n_initiators=6, stg_fraction=0.3)
         dead_shard_size = sum(
@@ -522,15 +525,10 @@ class TestWorkerFailure:
                 except Exception:
                     pass
 
-    def test_all_workers_down_degrades_not_raises(self, dataset):
+    def test_all_workers_down_degrades_not_raises(self, dataset, monkeypatch):
         # Nothing is listening on these ports: every request degrades.
-        backend = RemoteBackend(
-            "127.0.0.1:1,127.0.0.1:2",
-            timeout=1.0,
-            connect_timeout=0.2,
-            backoff_base=0.01,
-            backoff_cap=0.05,
-        )
+        set_link_constants(monkeypatch, connect_timeout=0.2)
+        backend = RemoteBackend("127.0.0.1:1,127.0.0.1:2", timeout=1.0)
         batch = build_batch(dataset, seed=2, n_queries=6, n_initiators=3, stg_fraction=0.0)
         with QueryService(dataset.graph, dataset.calendars, backend=backend) as service:
             results = service.solve_many(batch)
@@ -538,7 +536,7 @@ class TestWorkerFailure:
             assert all(isinstance(r, ErrorResult) for r in results)
             assert service.stats().queries == 0
 
-    def test_slow_worker_times_out_per_request(self, dataset):
+    def test_slow_worker_times_out_per_request(self, dataset, monkeypatch):
         # A stub worker that handshakes correctly but never answers batches.
         ready = threading.Event()
         bound = {}
@@ -564,16 +562,15 @@ class TestWorkerFailure:
         thread = threading.Thread(target=stall_server, daemon=True)
         thread.start()
         assert ready.wait(5)
-        backend = RemoteBackend(
-            [("127.0.0.1", bound["port"])], timeout=0.3, connect_timeout=2.0
-        )
+        monkeypatch.setattr(remote, "CONNECT_TIMEOUT", 2.0)
+        backend = RemoteBackend([("127.0.0.1", bound["port"])], timeout=0.3)
         query = SGQuery(initiator=dataset.people[0], group_size=3, radius=1, acquaintance=1)
         with QueryService(dataset.graph, dataset.calendars, backend=backend) as service:
             result = service.solve(query)
         assert isinstance(result, ErrorResult)
         assert "timed out" in result.error
 
-    def test_dribbling_worker_bounded_by_deadline_not_per_recv(self, dataset):
+    def test_dribbling_worker_bounded_by_deadline_not_per_recv(self, dataset, monkeypatch):
         # A degraded worker that keeps trickling bytes resets a naive
         # per-recv timeout forever; the round-trip deadline must fire.
         ready = threading.Event()
@@ -603,9 +600,8 @@ class TestWorkerFailure:
         thread = threading.Thread(target=dribble_server, daemon=True)
         thread.start()
         assert ready.wait(5)
-        backend = RemoteBackend(
-            [("127.0.0.1", bound["port"])], timeout=0.5, connect_timeout=2.0
-        )
+        monkeypatch.setattr(remote, "CONNECT_TIMEOUT", 2.0)
+        backend = RemoteBackend([("127.0.0.1", bound["port"])], timeout=0.5)
         query = SGQuery(initiator=dataset.people[0], group_size=3, radius=1, acquaintance=1)
         start = time.monotonic()
         with QueryService(dataset.graph, dataset.calendars, backend=backend) as service:
@@ -681,10 +677,9 @@ class TestWorkerFailure:
         finally:
             harness.stop()
 
-    def test_link_backoff_fails_fast_while_down(self):
-        backend = RemoteBackend(
-            "127.0.0.1:1", timeout=1.0, connect_timeout=0.2, backoff_base=5.0, backoff_cap=5.0
-        )
+    def test_link_backoff_fails_fast_while_down(self, monkeypatch):
+        set_link_constants(monkeypatch, connect_timeout=0.2, backoff_base=5.0, backoff_cap=5.0)
+        backend = RemoteBackend("127.0.0.1:1", timeout=1.0)
         link = backend._links[0]
         with pytest.raises(WorkerUnavailableError):
             link.request({"type": "ping", "id": 0})
@@ -904,21 +899,15 @@ class TestPlacementDistribution:
 # hot-ego replication: fan-out + failover (acceptance criterion)
 # ----------------------------------------------------------------------
 class TestReplicaFailover:
-    def test_replicated_hot_ego_survives_worker_death(self, dataset):
+    def test_replicated_hot_ego_survives_worker_death(self, dataset, monkeypatch):
         hot = dataset.people[0]
         cold = dataset.people[1]
         placement = PlacementMap(
             2, version=1, assignments={cold: 0}, replicas={hot: (0, 1)}
         )
         workers = [WorkerHarness(dataset).start() for _ in range(2)]
-        backend = RemoteBackend(
-            [w.address for w in workers],
-            timeout=10.0,
-            connect_timeout=2.0,
-            backoff_base=0.01,
-            backoff_cap=0.05,
-            placement=placement,
-        )
+        set_link_constants(monkeypatch, connect_timeout=2.0)
+        backend = RemoteBackend([w.address for w in workers], timeout=10.0, placement=placement)
         # Distinct hot queries so both replicas genuinely solve work, plus
         # cold queries pinned (unreplicated) to the shard we will kill.
         batch = [

@@ -53,13 +53,12 @@ class TestParser:
             with pytest.raises(SystemExit):
                 parser.parse_args(["worker", "--listen", bad])
 
-    def test_cluster_arguments(self):
-        parser = build_parser()
-        args = parser.parse_args(["cluster", "--workers", "3", "--queries", "10"])
-        assert args.command == "cluster"
-        assert args.workers == 3
-        assert args.worker_backend == "serial"
-        assert args.queries == 10
+    def test_retired_cluster_command_is_an_argparse_error(self, capsys):
+        # serve --backend process --workers N is the one-command local fleet.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'cluster'" in capsys.readouterr().err
 
     def test_serve_remote_requires_connect(self, capsys):
         code = main(["serve", "--backend", "remote", "--queries", "1", "--people", "40"])
@@ -134,19 +133,39 @@ class TestCommands:
         assert "queries/s" in out
         assert "hit rate" in out
 
-    def test_cluster_batch_end_to_end(self, capsys):
-        # One worker subprocess + gateway: covers spawn, READY handshake,
-        # remote solving, summary output and graceful worker teardown.
-        code = main(
-            ["cluster", "--workers", "1", "--queries", "8", "--initiators", "4",
-             "--people", "40", "--seed", "3", "-p", "3", "-k", "1"]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "8 SGQ queries" in captured.out
-        assert "backend=remote" in captured.out
-        assert "errors" not in captured.out.splitlines()[1]  # no degraded requests
-        assert "cluster workers terminated" in captured.err
+    def test_process_fleet_jsonl_matches_serial(self, capsys, monkeypatch):
+        # The one-command local fleet: two spawned workers behind the
+        # remote dispatch path answer a JSONL stream byte for byte like a
+        # serial service. No "stats": true, since stats carry solve times.
+        import io
+        import json
+
+        requests = [
+            {"id": i, "initiator": person, "p": 3, "k": 1, "s": 1 + i % 2}
+            for i, person in enumerate((0, 5, 12, 17, 23, 31))
+        ] + [
+            {"id": 10 + i, "initiator": person, "p": 3, "k": 1, "m": 2}
+            for i, person in enumerate((3, 12, 40))
+        ] + [
+            {"id": 20, "initiator": 99999, "p": 3, "k": 1},  # unknown initiator
+            {"id": 21, "initiator": 5, "p": 3, "k": 1, "s": 1.5},  # bad field
+        ]
+        stdin = "".join(json.dumps(request) + "\n" for request in requests)
+
+        def serve(*backend_args):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            code = main(["serve", "--people", "60", "--seed", "3", "--jsonl", *backend_args])
+            assert code == 0
+            return capsys.readouterr().out
+
+        serial = serve()
+        fleet = serve("--backend", "process", "--workers", "2")
+        assert fleet == serial
+        responses = [json.loads(line) for line in serial.splitlines()]
+        assert [r["id"] for r in responses] == [r["id"] for r in requests]
+        assert any(r.get("feasible") for r in responses)
+        assert any("period" in r for r in responses)
+        assert [r["id"] for r in responses if "error" in r] == [20, 21]
 
     def test_serve_stgq_batch_reference_kernel(self, capsys):
         code = main(
@@ -213,7 +232,6 @@ class TestCommands:
             ["serve", "--backend", "thread"],
             ["http", "--backend", "thread"],
             ["worker", "--backend", "thread"],
-            ["cluster", "--worker-backend", "thread"],
         ],
     )
     def test_retired_thread_backend_is_an_argparse_error(self, argv, capsys):
@@ -452,6 +470,33 @@ class TestMutateCommand:
         assert code == 0
         assert f"loaded 6 mutations from {trace_path}" in out
         assert "live version 6" in out
+
+    def test_mutate_connect_prints_the_fleet_receipt(self, capsys):
+        from repro.datasets.realistic import generate_real_dataset
+
+        from .service.test_net import WorkerHarness
+
+        # Each worker mutates its own graph, so each gets its own copy of
+        # the dataset the command regenerates from --people/--seed.
+        workers = [
+            WorkerHarness(generate_real_dataset(n_people=60, schedule_days=1, seed=3)).start()
+            for _ in range(2)
+        ]
+        try:
+            code = main(
+                ["mutate", "--people", "60", "--seed", "3", "--count", "6",
+                 "--batch-size", "3", "--connect", ",".join(w.address for w in workers)]
+            )
+            out = capsys.readouterr().out
+        finally:
+            for worker in workers:
+                worker.stop()
+        assert code == 0
+        assert "applied 6 mutations in 2 batches -> live version 6" in out
+        for worker in workers:
+            assert f"worker {worker.address}  live version 6  [ok]" in out
+        assert out.count("[ok]") == 2
+        assert "fleet consistent at live version 6" in out
 
     def test_mutate_unreadable_trace_exits_one(self, tmp_path, capsys):
         code = main(
