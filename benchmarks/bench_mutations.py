@@ -13,7 +13,7 @@ Three numbers characterise the live-graph subsystem (``docs/live_graph.md``):
    mutation stream, i.e. the price of refilling the evicted egos, next to
    the warm-cache rate before mutations.
 
-Run directly (it is a script, not a pytest-benchmark module)::
+Run::
 
     PYTHONPATH=src python benchmarks/bench_mutations.py
     PYTHONPATH=src python benchmarks/bench_mutations.py --quick --json out.json

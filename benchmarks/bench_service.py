@@ -40,7 +40,7 @@ fails when shed (429) requests exceed ``--http-shed-limit`` percent
 (default 5) — the admission-control acceptance gate behind the
 ``BENCH_service_http.json`` artifact.
 
-Run directly (it is a script, not a pytest-benchmark module)::
+Run::
 
     PYTHONPATH=src python benchmarks/bench_service.py               # full
     PYTHONPATH=src python benchmarks/bench_service.py --quick       # CI smoke

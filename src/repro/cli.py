@@ -99,6 +99,7 @@ from .service import (
     BACKEND_NAMES,
     QueryService,
     RemoteBackend,
+    make_backend,
     serve_jsonl,
 )
 from .service.drain import ShutdownSignal
@@ -192,24 +193,22 @@ def _resolve_placement(args: argparse.Namespace):
 
 
 def _resolve_backend(args: argparse.Namespace):
-    """``(backend, placement)`` for ``serve``/``http``'s backend flag group.
+    """The executor backend ``serve``/``http``'s backend flag group selects.
 
-    ``--backend remote`` becomes a :class:`RemoteBackend` that owns the
-    placement map (so the returned placement is ``None``); the other
-    backends stay names for :class:`QueryService`.  Raises
+    :func:`make_backend` hands ``--workers``, ``--connect``, ``--timeout``
+    and the placement map to the backends that use them.  Raises
     :class:`QueryError` on usage mistakes (missing ``--connect``, a
-    placement on a backend that does not route, a bad ``--timeout``).
+    placement on a backend that does not route or of the wrong width, a
+    bad ``--timeout``).
     """
     placement = _resolve_placement(args)
     if placement is not None and args.backend not in ("process", "remote"):
         raise QueryError(
             f"--placement applies to --backend process or remote, not {args.backend!r}"
         )
-    if args.backend != "remote":
-        return args.backend, placement
-    if not args.connect:
+    if args.backend == "remote" and not args.connect:
         raise QueryError("--backend remote requires --connect host:port[,host:port...]")
-    return RemoteBackend(args.connect, timeout=args.timeout, placement=placement), None
+    return make_backend(args.backend, args.workers, args.connect, args.timeout, placement)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--algorithm",
         default=None,
-        help="solver to use (sgselect/stgselect/baseline/ip/pcarrange)",
+        help="solver to use (sgselect/stgselect/baseline/ip/pcarrange/greedy)",
     )
     query.add_argument("--initiator", type=int, default=None, help="initiator id (default: auto)")
 
@@ -316,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--timeout",
             type=float,
             default=30.0,
-            help="per-request timeout in seconds for --backend remote (default 30)",
+            help="per-request timeout in seconds for --backend process or remote "
+            "(default 30)",
         )
         _add_placement_arguments(sub)
 
@@ -855,17 +855,13 @@ def _service_session(args: argparse.Namespace, dataset, service: QueryService) -
     return 0
 
 
-def _build_gateway_service(
-    args: argparse.Namespace, dataset, backend, placement=None
-) -> QueryService:
+def _build_gateway_service(args: argparse.Namespace, dataset, backend) -> QueryService:
     return QueryService(
         dataset.graph,
         dataset.calendars,
         parameters=SearchParameters(kernel=args.kernel),
         cache_size=args.cache_size,
-        max_workers=args.workers,
         backend=backend,
-        placement=placement,
     )
 
 
@@ -879,17 +875,13 @@ def _command_serve(args: argparse.Namespace) -> int:
     # --placement file, a missing --graph) are answered like argparse does
     # (stderr + exit 2), not a traceback.
     try:
-        backend, placement = _resolve_backend(args)
+        backend = _resolve_backend(args)
         dataset = _load_service_dataset(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with _graceful_shutdown():
-        try:
-            service = _build_gateway_service(args, dataset, backend, placement=placement)
-        except QueryError as exc:  # e.g. placement shard count vs --workers
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        service = _build_gateway_service(args, dataset, backend)
         try:
             return _service_session(args, dataset, service)
         except SystemExit as exc:
@@ -947,7 +939,7 @@ def _command_http(args: argparse.Namespace) -> int:
         print(f"error: --max-queue must be >= 0, got {args.max_queue}", file=sys.stderr)
         return 2
     try:
-        backend, placement = _resolve_backend(args)
+        backend = _resolve_backend(args)
         dataset = _load_service_dataset(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -974,13 +966,7 @@ def _command_http(args: argparse.Namespace) -> int:
         admit_timeout=args.admit_timeout,
         drain_timeout=args.drain_timeout,
     )
-    try:
-        service = _build_gateway_service(args, dataset, backend, placement=placement)
-    except QueryError as exc:  # e.g. placement shard count vs --workers
-        print(f"error: {exc}", file=sys.stderr)
-        if opened is not None:
-            opened.close()
-        return 2
+    service = _build_gateway_service(args, dataset, backend)
     try:
         # run_gateway owns the drained SIGTERM/SIGINT shutdown and closes
         # the service (executor pools, worker connections) on the way out.

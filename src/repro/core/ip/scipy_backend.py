@@ -3,7 +3,7 @@
 The paper solved its Appendix-D model with CPLEX.  CPLEX is proprietary and
 unavailable here, so the reproduction substitutes the open-source HiGHS
 solver shipped with SciPy; the comparison role ("a general-purpose IP
-optimizer solving the same model") is preserved.  See DESIGN.md §4.
+optimizer solving the same model") is preserved.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Datasets: the paper's worked examples plus synthetic stand-ins for its
-real and coauthorship datasets (see DESIGN.md §4 for the substitutions)."""
+real and coauthorship datasets."""
 
 from .base import Dataset
 from .coauthorship import NETWORK_SIZE_SWEEP, generate_coauthorship_dataset

@@ -4,8 +4,7 @@ The paper's "real" dataset was collected from 194 invited participants
 (schools, government, business, industry); their social distances were
 derived from interaction frequencies and their schedules from shared Google
 Calendars.  That data is not available, so this module generates a seeded
-synthetic population with the same macro structure — see DESIGN.md §4 for
-the substitution argument.
+synthetic population with the same macro structure.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Ablation study of the search strategies.
 
-DESIGN.md calls out the individual strategies (access ordering, distance
+The paper credits the individual strategies (access ordering, distance
 pruning, acquaintance pruning, availability pruning, pivot time slots) as
 the source of SGSelect/STGSelect's advantage; this module measures each
 strategy's contribution by re-running the same queries with one strategy

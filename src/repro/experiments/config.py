@@ -7,14 +7,14 @@ cannot use the same absolute scales (the SGQ baseline at ``p = 11`` over a
 therefore has an :class:`ExperimentScale`:
 
 * ``SMOKE`` — seconds; used by the test-suite and CI.
-* ``PAPER_SHAPE`` — the default for ``pytest benchmarks/``: small enough to
-  finish in minutes, large enough that the qualitative shapes of the paper's
-  figures (who wins, how the gap grows) are visible.
+* ``PAPER_SHAPE`` — the default for :func:`~repro.experiments.run_figure`:
+  small enough to finish in seconds, large enough that the qualitative
+  shapes of the paper's figures (who wins, how the gap grows) are visible.
 * ``FULL`` — the closest practical approximation of the paper's parameter
   ranges; expect long runtimes for the baseline series.
 
-The per-figure parameter grids live here so benchmarks, the CLI and
-EXPERIMENTS.md all describe exactly the same runs.
+The per-figure parameter grids live here and nowhere else: the figure
+runners, and through them ``stgq figure``, take every sweep from this module.
 """
 
 from __future__ import annotations

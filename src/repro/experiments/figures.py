@@ -4,9 +4,7 @@ Each ``run_figure_1x`` function builds the workload described in
 :mod:`repro.experiments.config`, runs the algorithms the paper compares in
 that panel, and returns a :class:`~repro.experiments.runner.FigureSeries`
 with the measured series; ``python -m repro figure 1e`` prints them from
-the command line.  The pytest-benchmark panels ``benchmarks/bench_fig1*.py``
-do not call these runners: they re-implement the sweeps, so the two
-harnesses can drift apart.
+the command line.  They are the only Figure 1 harness.
 
 The absolute running times are not comparable with the paper's (different
 hardware, C vs. pure Python); the claims reproduced are the *shapes*:
@@ -105,7 +103,16 @@ def _stg_algorithms(
     return algorithms
 
 
-def _run_point(point: SeriesPoint, algorithms: Dict[str, Callable[[], object]], repetitions: int) -> None:
+def _run_point(
+    series: FigureSeries,
+    point: SeriesPoint,
+    algorithms: Dict[str, Callable[[], object]],
+    repetitions: int,
+) -> None:
+    if not series.points and "IP" in algorithms:
+        # Untimed: the first IP solve in a process pays for the lazy scipy
+        # import inside solve_with_scipy, which dwarfs a warm solve.
+        algorithms["IP"]()
     for name, fn in algorithms.items():
         try:
             point.measurements[name] = measure(fn, repetitions=repetitions)
@@ -113,6 +120,7 @@ def _run_point(point: SeriesPoint, algorithms: Dict[str, Callable[[], object]], 
             # The baseline cap refused an astronomically large enumeration;
             # record the omission instead of hanging the run.
             point.extra[f"{name}_skipped"] = str(exc)
+    series.points.append(point)
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +140,7 @@ def run_figure_1a(
             initiator=initiator, group_size=int(p), radius=config.radius, acquaintance=config.acquaintance
         )
         point = SeriesPoint(sweep_value=p)
-        _run_point(point, _sg_algorithms(config, dataset, initiator, query), repetitions)
-        series.points.append(point)
+        _run_point(series, point, _sg_algorithms(config, dataset, initiator, query), repetitions)
     return series
 
 
@@ -154,8 +161,7 @@ def run_figure_1b(
         )
         point = SeriesPoint(sweep_value=s)
         point.extra["ego_candidates"] = ego_size(dataset, initiator, int(s))
-        _run_point(point, _sg_algorithms(config, dataset, initiator, query), repetitions)
-        series.points.append(point)
+        _run_point(series, point, _sg_algorithms(config, dataset, initiator, query), repetitions)
     return series
 
 
@@ -176,8 +182,7 @@ def run_figure_1c(
             acquaintance=int(k),
         )
         point = SeriesPoint(sweep_value=k)
-        _run_point(point, _sg_algorithms(config, dataset, initiator, query), repetitions)
-        series.points.append(point)
+        _run_point(series, point, _sg_algorithms(config, dataset, initiator, query), repetitions)
     return series
 
 
@@ -200,8 +205,7 @@ def run_figure_1d(
         )
         point = SeriesPoint(sweep_value=size)
         point.extra["ego_candidates"] = ego_size(dataset, initiator, config.radius)
-        _run_point(point, _sg_algorithms(config, dataset, initiator, query), repetitions)
-        series.points.append(point)
+        _run_point(series, point, _sg_algorithms(config, dataset, initiator, query), repetitions)
     return series
 
 
@@ -222,8 +226,7 @@ def run_figure_1e(
             activity_length=int(m),
         )
         point = SeriesPoint(sweep_value=m)
-        _run_point(point, _stg_algorithms(config, dataset, query), repetitions)
-        series.points.append(point)
+        _run_point(series, point, _stg_algorithms(config, dataset, query), repetitions)
     return series
 
 
@@ -247,8 +250,7 @@ def run_figure_1f(
         )
         point = SeriesPoint(sweep_value=days)
         point.extra["horizon_slots"] = dataset.calendars.horizon
-        _run_point(point, _stg_algorithms(config, dataset, query), repetitions)
-        series.points.append(point)
+        _run_point(series, point, _stg_algorithms(config, dataset, query), repetitions)
     return series
 
 

@@ -4,8 +4,7 @@ The paper presents its evaluation as log-scale line plots; in a library the
 equivalent artefact is a table per figure with one row per sweep value and
 one column per algorithm.  These helpers render a
 :class:`~repro.experiments.runner.FigureSeries` as an aligned text table
-(used by the CLI and by EXPERIMENTS.md) or as CSV rows (for downstream
-plotting).
+(used by the CLI) or as CSV rows (for downstream plotting).
 """
 
 from __future__ import annotations

@@ -176,13 +176,18 @@ class ProcessBackend(RemoteBackend):
     :class:`~repro.service.codec.ErrorResult`\\ s while the other shards
     answer, and the remote deadlines bound local batches too.  Vertex ids
     must survive a JSON round trip.  :meth:`close` and :meth:`clear_caches`
-    stop the children; the next batch starts fresh ones.
+    stop the children; the next batch starts fresh ones.  So does a batch
+    that finds a child exited: it restarts them all, as ``clear_caches``
+    would.
 
     Parameters
     ----------
     workers:
         Number of shards / child processes (default: ``os.cpu_count()``,
         or the placement map's shard count when one is given).
+    timeout:
+        Per-request time budget in seconds, as for
+        :class:`~repro.service.net.RemoteBackend` (default 30).
     placement:
         Optional :class:`~repro.service.placement.PlacementMap` replacing
         the CRC32 :class:`~repro.service.ShardMap` fallback; its
@@ -195,21 +200,27 @@ class ProcessBackend(RemoteBackend):
     name = "process"
 
     def __init__(
-        self, workers: Optional[int] = None, placement: Optional[PlacementMap] = None
+        self,
+        workers: Optional[int] = None,
+        timeout: Optional[float] = None,
+        placement: Optional[PlacementMap] = None,
     ) -> None:
         if workers is None and placement is not None:
             workers = placement.n_shards
         # Routing state now; the links are attached once the children have
         # started and announced their ports (see _ensure_started).
-        self._init_shards(workers or os.cpu_count() or 1, placement)
+        self._init_shards(workers or os.cpu_count() or 1, timeout, placement)
         self._children: Optional[LocalWorkerCluster] = None
         self._finalizer: Optional[weakref.finalize] = None
         self._bound_service: Optional["QueryService"] = None
         self._start_lock = threading.Lock()
 
     def _ensure_started(self, service: "QueryService") -> None:
-        if self._children is not None and self._bound_service is service:
-            return
+        children = self._children
+        if children is not None and self._bound_service is service:
+            if all(child.poll() is None for child in children.processes):
+                return
+            self._stop(children)  # a child exited: restart them all
         # Lock order: the service's mutation lock, then ours — the order
         # apply_snapshot -> clear_caches -> close takes them in.  Holding
         # the first keeps the shipped graph and live version consistent.
@@ -301,7 +312,13 @@ class ProcessBackend(RemoteBackend):
 
     def close(self) -> None:
         """Finish in-flight requests, then stop the children (idempotent)."""
+        self._stop()
+
+    def _stop(self, exited: Optional[LocalWorkerCluster] = None) -> None:
+        """Stop the children; given ``exited``, only if they are still those."""
         with self._start_lock:
+            if exited is not None and self._children is not exited:
+                return  # a concurrent batch has restarted them already
             children, self._children = self._children, None
             finalizer, self._finalizer = self._finalizer, None
             self._bound_service = None
@@ -335,8 +352,9 @@ def make_backend(
 
     ``workers`` only applies when ``backend`` is a name; a ready instance
     keeps its own configuration.  ``connect`` (worker addresses,
-    ``"host:port,host:port"``) and ``timeout`` only apply to
-    ``backend="remote"``, whose shard count comes from the address list.
+    ``"host:port,host:port"``) only applies to ``backend="remote"``, whose
+    shard count comes from the address list; ``timeout`` applies to both
+    sharded backends.
     ``placement`` (a loaded :class:`~repro.service.placement.PlacementMap`)
     applies to the sharded backends only — ``serial`` has no routing to
     place.
@@ -351,7 +369,7 @@ def make_backend(
     if backend == "serial":
         return SerialBackend()
     if backend == "process":
-        return ProcessBackend(workers, placement=placement)
+        return ProcessBackend(workers, timeout, placement)
     if backend == "remote":
         if connect is None:
             raise QueryError(

@@ -270,8 +270,8 @@ class RemoteBackend:
         by ``timeout``), so large healthy batches are never spuriously
         degraded while a stalled worker is still cut off deterministically.
         On expiry the sub-batch yields error results and the connection is
-        dropped (re-established on a later batch).  Default 30 s, which the
-        process backend keeps.  The connect timeout, the reconnect backoff
+        dropped (re-established on a later batch).  Default 30 s, for the
+        process backend too.  The connect timeout, the reconnect backoff
         and the absolute cap on one sub-batch round trip are module
         constants (:data:`CONNECT_TIMEOUT`, :data:`BACKOFF_BASE`,
         :data:`BACKOFF_CAP`, :data:`MAX_BATCH_TIMEOUT`).
@@ -300,16 +300,18 @@ class RemoteBackend:
         timeout: Optional[float] = None,
         placement: Optional[PlacementMap] = None,
     ) -> None:
+        addresses = parse_addresses(connect)
+        self._init_shards(len(addresses), timeout, placement)
+        self._attach(addresses)
+
+    def _init_shards(
+        self, workers: int, timeout: Optional[float], placement: Optional[PlacementMap]
+    ) -> None:
+        """Deadline, routing and accounting state; :meth:`_attach` adds the links."""
         if timeout is not None:
             if timeout <= 0:
                 raise QueryError("timeout must be positive")
             self.timeout = timeout
-        addresses = parse_addresses(connect)
-        self._init_shards(len(addresses), placement)
-        self._attach(addresses)
-
-    def _init_shards(self, workers: int, placement: Optional[PlacementMap]) -> None:
-        """Routing and accounting state; :meth:`_attach` adds the links."""
         self.workers = workers
         if placement is not None:
             self._check_width(placement)

@@ -150,8 +150,8 @@ class QueryService:
         scales the GIL-bound compiled kernel across cores.
         It is the ``remote`` backend over local children, so a dead child
         fails its shard's queries (as ``ErrorResult``\\ s), not the whole
-        batch, and the remote deadlines bound its batches; vertex ids must
-        survive a JSON round trip.
+        batch, until the next batch restarts it, and the remote deadlines
+        bound its batches; vertex ids must survive a JSON round trip.
     placement:
         Optional :class:`~repro.service.placement.PlacementMap` routing the
         ``process`` backend by observed load instead of the CRC32 fallback

@@ -46,7 +46,8 @@ class TestAcquaintancePruning:
         )
 
     def test_lemma3_as_printed_would_overprune(self):
-        """Counter-example for the paper's original bound (see DESIGN.md §5):
+        """Counter-example for the paper's original bound (the corrected one is
+        recorded in the docstring of ``repro.core.pruning.acquaintance_pruning``):
         the initiator knows both candidates, the candidates do not know each
         other, and k = 1 — the group {q, a, b} is feasible, yet the printed
         bound (p - |VS|)(p - |VS| - k) = 2 exceeds the achievable inner degree

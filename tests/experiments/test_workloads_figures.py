@@ -1,6 +1,8 @@
 """Tests for workload construction, the figure runners (smoke scale) and the
 ablation harness."""
 
+import time
+
 import pytest
 
 from repro.core import SGQuery, STGQuery
@@ -8,6 +10,7 @@ from repro.exceptions import QueryError
 from repro.experiments import (
     ExperimentScale,
     ego_size,
+    figures,
     format_ablation,
     generate_query_workload,
     load_workload,
@@ -95,7 +98,7 @@ class TestWorkloadSaveReplay:
         assert len(load_workload(path)) == 1
 
 
-@pytest.mark.parametrize("figure", ["1a", "1b", "1c", "1e", "1f", "1g", "1h"])
+@pytest.mark.parametrize("figure", ["1a", "1b", "1c", "1d", "1e", "1f", "1g", "1h"])
 def test_figure_runners_smoke(figure):
     """Every panel runner completes at smoke scale and yields measurements for
     each sweep value."""
@@ -105,14 +108,38 @@ def test_figure_runners_smoke(figure):
     for point in series.points:
         assert point.measurements or point.extra
     # Performance panels must include the paper's protagonist algorithm.
-    if figure in ("1a", "1b", "1c"):
+    if figure in ("1a", "1b", "1c", "1d"):
         assert "SGSelect" in series.algorithms()
         assert "Baseline" in series.algorithms()
     if figure in ("1e", "1f"):
         assert "STGSelect" in series.algorithms()
     if figure in ("1g", "1h"):
         for point in series.points:
-            assert "stgarrange_k" in point.extra
+            extra = point.extra
+            assert "stgarrange_k" in extra
+            # The quality claim: STGArrange's group is never less acquainted
+            # nor farther away than the one manual coordination settles on.
+            if extra["pcarrange_feasible"] and extra["stgarrange_feasible"]:
+                assert extra["stgarrange_k"] <= extra["pcarrange_k"]
+                assert extra["stgarrange_distance"] <= extra["pcarrange_distance"] + 1e-9
+
+
+def test_ip_column_excludes_solver_warm_up(monkeypatch):
+    """The IP solver's one-off start-up (scipy's lazy import) is paid before
+    the sweep, not charged to its first point."""
+    calls = []
+
+    class ColdStartIP:
+        def solve_sgq(self, graph, query):
+            if not calls:
+                time.sleep(0.3)
+            calls.append(query)
+
+    monkeypatch.setattr(figures, "IPSolver", ColdStartIP)
+    monkeypatch.setattr(figures, "_HAVE_MILP_BACKEND", True)
+    series = run_figure("1a", scale=ExperimentScale.SMOKE)
+    timings = series.series("IP")
+    assert len(timings) == len(series.points) and all(t < 0.1 for t in timings)
 
 
 def test_figure_runner_unknown_panel():

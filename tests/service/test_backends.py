@@ -25,6 +25,7 @@ from repro.service import (
     SerialBackend,
     make_backend,
 )
+from repro.service.codec import response_for
 from repro.service.sharding import stable_shard
 
 #: Deterministic counters that must match across backends (``solve_seconds``
@@ -72,6 +73,23 @@ def build_batch(dataset, seed: int, n_queries: int, n_initiators: int, stg_fract
                 )
             )
     return batch
+
+
+def responses(results):
+    """The client-visible JSONL/HTTP response of each result."""
+    return [response_for(None, result) for result in results]
+
+
+def shard_batch(dataset):
+    """Two SGQs owned by each of two shards, and their serial responses."""
+    owners = {0: [], 1: []}
+    for person in dataset.people:
+        owners[stable_shard(person, 2)].append(person)
+    batch = [
+        SGQuery(initiator=person, group_size=3, radius=1, acquaintance=1)
+        for person in owners[0][:2] + owners[1][:2]
+    ]
+    return batch, responses(QueryService(dataset.graph, dataset.calendars).solve_many(batch))
 
 
 def run_backend(dataset, backend, batch, workers=2):
@@ -232,40 +250,45 @@ class TestProcessBackend:
             with pytest.raises(QueryError):
                 service.solve_many([query])
 
-    def test_dead_child_fails_only_its_shard(self, dataset):
-        # A SIGKILLed child fails the queries routed to it; the live shard
-        # still answers, and only its answers are counted.
-        owners = {0: [], 1: []}
-        for person in dataset.people:
-            owners[stable_shard(person, 2)].append(person)
-        batch = [
-            SGQuery(initiator=person, group_size=3, radius=1, acquaintance=1)
-            for person in owners[0][:2] + owners[1][:2]
-        ]
-        reference = [
-            (r.feasible, r.members, r.total_distance)
-            for r in QueryService(dataset.graph, dataset.calendars).solve_many(batch)
-        ]
+    def test_dead_child_fails_only_its_shard(self, dataset, monkeypatch):
+        # A child that dies after a batch checked on the children (its exit
+        # hidden from poll() here) fails the queries routed to it; the live
+        # shard still answers, and only its answers are counted.
+        batch, reference = shard_batch(dataset)
         backend = ProcessBackend(workers=2)
         with QueryService(dataset.graph, dataset.calendars, backend=backend) as service:
             service.solve(batch[0])  # starts both children
             victim = backend._children.processes[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.wait(10)
+            monkeypatch.setattr(victim, "poll", lambda: None)
             before = service.stats().queries
             results = service.solve_many(batch)
             assert all(isinstance(r, ErrorResult) for r in results[:2])
-            assert [(r.feasible, r.members, r.total_distance) for r in results[2:]] == (
-                reference[2:]
-            )
+            assert responses(results[2:]) == reference[2:]
             assert service.stats().queries - before == 2
             health = backend.worker_stats()
             assert health[0] is None and health[1] is not None
+            monkeypatch.undo()
             # close() stops the survivor; the next batch restarts both.
             service.close()
-            results = service.solve_many(batch)
-            assert [(r.feasible, r.members, r.total_distance) for r in results] == reference
+            assert responses(service.solve_many(batch)) == reference
             assert all(snapshot is not None for snapshot in backend.worker_stats())
+
+    def test_exited_child_is_restarted_by_next_batch(self, dataset):
+        # The next batch sees the exit and restarts the children from the
+        # service's current state, so no query reaches the dead child.
+        batch, reference = shard_batch(dataset)
+        backend = ProcessBackend(workers=2)
+        with QueryService(dataset.graph, dataset.calendars, backend=backend) as service:
+            service.solve(batch[0])  # starts both children
+            victim = backend._children.processes[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.wait(10)
+            results = service.solve_many(batch)
+            assert not any(isinstance(r, ErrorResult) for r in results)
+            assert responses(results) == reference
+            assert all(child.poll() is None for child in backend._children.processes)
 
 
 class TestBackendConstruction:

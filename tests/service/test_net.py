@@ -639,11 +639,12 @@ class TestWorkerFailure:
         assert reply["results"] == [{"error": "pool died"}]
         assert reply["stats_delta"] == {}
 
-    def test_worker_ships_its_dead_childs_errors_as_errors(self, dataset):
+    def test_worker_ships_its_dead_childs_errors_as_errors(self, dataset, monkeypatch):
         # A worker answering through a process backend whose child was
         # SIGKILLed must send that shard's ErrorResults as {"error": ...}
         # entries, so a gateway in front returns errors, not infeasible
-        # answers.
+        # answers.  The exit is hidden from poll(), as for a child that dies
+        # after a batch checked on it; otherwise the batch restarts it.
         owners = {0: [], 1: []}
         for person in dataset.people:
             owners[stable_shard(person, 2)].append(person)
@@ -660,6 +661,7 @@ class TestWorkerFailure:
             victim = backend._children.processes[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.wait(10)
+            monkeypatch.setattr(victim, "poll", lambda: None)
             sock = _client_socket(harness.address)
             try:
                 requests = [request_for(query) for query in batch]

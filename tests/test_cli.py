@@ -65,6 +65,29 @@ class TestParser:
         assert code == 2  # usage error, argparse-style, not a traceback
         assert "--connect" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "backend_args",
+        [
+            ["--backend", "process", "--workers", "2"],
+            ["--backend", "remote", "--connect", "127.0.0.1:9"],
+        ],
+    )
+    def test_serve_rejects_non_positive_timeout(self, backend_args, capsys):
+        code = main(["serve", *backend_args, "--timeout", "0", "--queries", "4", "--people", "40"])
+        assert code == 2
+        assert "timeout must be positive" in capsys.readouterr().err
+
+    def test_timeout_reaches_the_process_backend(self):
+        from repro.cli import _resolve_backend
+        from repro.service import ProcessBackend
+
+        args = build_parser().parse_args(
+            ["serve", "--backend", "process", "--workers", "2", "--timeout", "7.5"]
+        )
+        backend = _resolve_backend(args)
+        assert isinstance(backend, ProcessBackend)
+        assert (backend.workers, backend.timeout) == (2, 7.5)
+
 
 class TestCommands:
     def test_sgq_query_runs(self, capsys):
