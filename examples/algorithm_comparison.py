@@ -5,13 +5,15 @@ SGSelect, the exhaustive baseline and the Integer Programming model on the
 same SGQ, then STGSelect and the per-period baseline on the same STGQ, and
 prints running time, search statistics, and the (identical) optima.  It is
 the quickest way to see why the branch-and-bound algorithms are the ones a
-deployment would use.
+deployment would use.  Every solver here is exact, so it exits 1 when two of
+them disagree on a query's feasibility or optimal distance.
 
 Run with::
 
     python examples/algorithm_comparison.py
 """
 
+import sys
 import time
 
 from repro.core import (
@@ -44,7 +46,14 @@ def print_rows(rows):
         print(f"  {label.ljust(width)}  {elapsed * 1e3:8.2f} ms   {status}{detail}")
 
 
-def main() -> None:
+def agree(rows) -> bool:
+    """Print and return whether every row has the same feasibility and optimum."""
+    answers = {(r.feasible, round(r.total_distance, 6)) for _, _, r in rows}
+    print(f"  -> all exact solvers agree: {len(answers) == 1}")
+    return len(answers) == 1
+
+
+def main() -> int:
     dataset = generate_real_dataset(seed=42)
     initiator = pick_initiator(dataset, radius=1, min_candidates=12, max_candidates=26)
     graph, calendars = dataset.graph, dataset.calendars
@@ -58,14 +67,10 @@ def main() -> None:
         timed("SGSelect (branch & bound)", lambda: SGSelect(graph).solve(sg_query)),
         timed("Baseline (enumerate all groups)", lambda: BaselineSGQ(graph).solve(sg_query)),
         timed("Integer Programming (HiGHS)", lambda: IPSolver().solve_sgq(graph, sg_query)),
-        timed(
-            "Integer Programming (pure-Python B&B)",
-            lambda: IPSolver(backend="branch-bound").solve_sgq(graph, sg_query),
-        ),
     ]
     print_rows(rows)
-    distances = {round(r.total_distance, 6) for _, _, r in rows if r.feasible}
-    print(f"  -> all exact solvers agree: {len(distances) <= 1}\n")
+    ok = agree(rows)
+    print()
 
     # ------------------------------------------------------------------
     stg_query = STGQuery(
@@ -81,13 +86,13 @@ def main() -> None:
         timed("Integer Programming (HiGHS)", lambda: IPSolver().solve_stgq(graph, calendars, stg_query)),
     ]
     print_rows(rows)
-    distances = {round(r.total_distance, 6) for _, _, r in rows if r.feasible}
-    print(f"  -> all exact solvers agree: {len(distances) <= 1}")
+    ok = agree(rows) and ok
     best = rows[0][2]
     if best.feasible:
         print(f"  -> chosen period: slots {best.period.as_tuple()}, "
               f"pivot slot {best.pivot}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,6 +27,12 @@ Quickstart::
         initiator=0, group_size=5, activity_length=4, radius=2, acquaintance=1
     )
     print(result.sorted_members(), result.period)
+
+A solver is called one of two ways: build its class from the graph (and
+calendars) and pass a query object, e.g.
+``SGSelect(graph).solve(SGQuery(...))``, or go through the planner by
+keyword and algorithm name, e.g. ``planner.find_group(..., algorithm="ip")``.
+Both return a result object, with ``feasible=False`` when no group exists.
 """
 
 from .core import (
@@ -43,13 +49,10 @@ from .core import (
     STGroupResult,
     STGQuery,
     STGSelect,
-    sg_select,
-    stg_select,
 )
 from .exceptions import (
     DatasetError,
     GraphError,
-    InfeasibleQueryError,
     QueryError,
     ReproError,
     ScheduleError,
@@ -75,8 +78,6 @@ __all__ = [
     "STGroupResult",
     "SGSelect",
     "STGSelect",
-    "sg_select",
-    "stg_select",
     "QueryService",
     "ServiceStats",
     "BaselineSGQ",
@@ -88,7 +89,6 @@ __all__ = [
     "GraphError",
     "ScheduleError",
     "QueryError",
-    "InfeasibleQueryError",
     "SolverError",
     "DatasetError",
 ]

@@ -1,8 +1,20 @@
 """Core algorithms of the reproduction: query model, SGSelect, STGSelect,
 baselines, the Integer Programming formulation, and the quality-comparison
-heuristics (PCArrange / STGArrange)."""
+heuristics (PCArrange / STGArrange).
 
-from .baseline import BaselineSGQ, BaselineSTGQ, baseline_sg, baseline_stg
+Every solver has one calling convention: construct it from the graph (plus
+the calendars and :class:`SearchParameters` where it takes them), pass a
+query object to ``solve`` (``solve_sgq`` / ``solve_stgq`` for
+:class:`IPSolver`), and get a result back whether or not a group exists —
+an infeasible query is a result with ``feasible=False``, not an exception::
+
+    result = SGSelect(graph).solve(SGQuery(initiator=0, group_size=4, radius=1, acquaintance=1))
+
+:class:`ActivityPlanner` is the one entry point by keyword and algorithm
+name: ``planner.find_group(initiator=0, group_size=4, algorithm="ip")``.
+"""
+
+from .baseline import BaselineSGQ, BaselineSTGQ
 from .context import SearchContext
 from .constraints import (
     ConstraintReport,
@@ -11,8 +23,8 @@ from .constraints import (
     group_total_distance,
     observed_acquaintance,
 )
-from .heuristics import GreedySGQ, GreedySTGQ, greedy_sg, greedy_stg
-from .ip import IPSolver, solve_sgq_ip, solve_stgq_ip
+from .heuristics import GreedySGQ, GreedySTGQ
+from .ip import IPSolver
 from .ordering import (
     exterior_expansibility,
     exterior_expansibility_condition,
@@ -21,14 +33,14 @@ from .ordering import (
     temporal_extensibility,
     temporal_extensibility_condition,
 )
-from .pcarrange import PCArrange, pc_arrange
+from .pcarrange import PCArrange
 from .planner import ActivityPlanner
 from .pruning import acquaintance_pruning, availability_pruning, distance_pruning
 from .query import VALID_KERNELS, SGQuery, STGQuery, SearchParameters
 from .result import GroupResult, STGroupResult, SearchStats
-from .sgselect import SGSelect, sg_select
+from .sgselect import SGSelect
 from .stgarrange import STGArrange, STGArrangeOutcome
-from .stgselect import STGSelect, stg_select
+from .stgselect import STGSelect
 
 __all__ = [
     "SGQuery",
@@ -40,22 +52,13 @@ __all__ = [
     "SearchStats",
     "SearchContext",
     "SGSelect",
-    "sg_select",
     "STGSelect",
-    "stg_select",
     "BaselineSGQ",
     "BaselineSTGQ",
-    "baseline_sg",
-    "baseline_stg",
     "IPSolver",
-    "solve_sgq_ip",
-    "solve_stgq_ip",
     "GreedySGQ",
     "GreedySTGQ",
-    "greedy_sg",
-    "greedy_stg",
     "PCArrange",
-    "pc_arrange",
     "STGArrange",
     "STGArrangeOutcome",
     "ActivityPlanner",

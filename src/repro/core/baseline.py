@@ -36,7 +36,7 @@ from ..types import Vertex
 from .query import SGQuery, STGQuery, SearchParameters
 from .result import GroupResult, STGroupResult, SearchStats
 
-__all__ = ["BaselineSGQ", "BaselineSTGQ", "baseline_sg", "baseline_stg"]
+__all__ = ["BaselineSGQ", "BaselineSTGQ"]
 
 
 class BaselineSGQ:
@@ -190,39 +190,3 @@ class BaselineSTGQ:
             solver="BaselineSTGQ",
             stats=stats,
         )
-
-
-def baseline_sg(
-    graph: SocialGraph,
-    initiator: Vertex,
-    group_size: int,
-    radius: int,
-    acquaintance: int,
-    max_groups: Optional[int] = None,
-) -> GroupResult:
-    """Convenience wrapper for :class:`BaselineSGQ`."""
-    query = SGQuery(
-        initiator=initiator, group_size=group_size, radius=radius, acquaintance=acquaintance
-    )
-    return BaselineSGQ(graph).solve(query, max_groups=max_groups)
-
-
-def baseline_stg(
-    graph: SocialGraph,
-    calendars: CalendarStore,
-    initiator: Vertex,
-    group_size: int,
-    radius: int,
-    acquaintance: int,
-    activity_length: int,
-    inner: str = "sgselect",
-) -> STGroupResult:
-    """Convenience wrapper for :class:`BaselineSTGQ`."""
-    query = STGQuery(
-        initiator=initiator,
-        group_size=group_size,
-        radius=radius,
-        acquaintance=acquaintance,
-        activity_length=activity_length,
-    )
-    return BaselineSTGQ(graph, calendars, inner=inner).solve(query)

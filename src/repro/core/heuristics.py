@@ -36,7 +36,7 @@ from ..types import Vertex
 from .query import SGQuery, STGQuery
 from .result import GroupResult, STGroupResult, SearchStats
 
-__all__ = ["GreedySGQ", "GreedySTGQ", "greedy_sg", "greedy_stg"]
+__all__ = ["GreedySGQ", "GreedySTGQ"]
 
 
 class GreedySGQ:
@@ -232,37 +232,3 @@ class GreedySTGQ:
             if all(self.calendars.is_available_range(v, period) for v in members):
                 return period
         return None
-
-
-def greedy_sg(
-    graph: SocialGraph,
-    initiator: Vertex,
-    group_size: int,
-    radius: int,
-    acquaintance: int,
-) -> GroupResult:
-    """Convenience wrapper for :class:`GreedySGQ`."""
-    query = SGQuery(
-        initiator=initiator, group_size=group_size, radius=radius, acquaintance=acquaintance
-    )
-    return GreedySGQ(graph).solve(query)
-
-
-def greedy_stg(
-    graph: SocialGraph,
-    calendars: CalendarStore,
-    initiator: Vertex,
-    group_size: int,
-    radius: int,
-    acquaintance: int,
-    activity_length: int,
-) -> STGroupResult:
-    """Convenience wrapper for :class:`GreedySTGQ`."""
-    query = STGQuery(
-        initiator=initiator,
-        group_size=group_size,
-        radius=radius,
-        acquaintance=acquaintance,
-        activity_length=activity_length,
-    )
-    return GreedySTGQ(graph, calendars).solve(query)

@@ -1,10 +1,9 @@
 """Integer Programming formulation of SGQ/STGQ (paper Appendix D) and the
-MILP backends that solve it."""
+HiGHS MILP backend that solves it."""
 
-from .branch_bound import solve_with_branch_bound
 from .model import LinearConstraintSpec, MILPModel, build_sgq_model, build_stgq_model
 from .scipy_backend import MILPSolution, solve_with_scipy
-from .solver import IPSolver, solve_sgq_ip, solve_stgq_ip
+from .solver import IPSolver
 
 __all__ = [
     "MILPModel",
@@ -13,8 +12,5 @@ __all__ = [
     "build_sgq_model",
     "build_stgq_model",
     "solve_with_scipy",
-    "solve_with_branch_bound",
     "IPSolver",
-    "solve_sgq_ip",
-    "solve_stgq_ip",
 ]

@@ -3,8 +3,7 @@
 The paper formulates STGQ as an Integer Program and solves it with CPLEX as
 one of the comparison points in Figures 1(a) and 1(d).  This module builds
 the same model over a generic MILP description (:class:`MILPModel`) that the
-backends in :mod:`repro.core.ip.scipy_backend` and
-:mod:`repro.core.ip.branch_bound` can solve.
+HiGHS backend in :mod:`repro.core.ip.scipy_backend` solves.
 
 Two formulations are provided:
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 try:  # numpy arrives with scipy; both are optional for the MILP comparison.
     import numpy as np
@@ -30,7 +30,8 @@ class MILPSolution:
     Attributes
     ----------
     status:
-        ``"optimal"``, ``"infeasible"`` or ``"error"``.
+        ``"optimal"`` or ``"infeasible"``; any other outcome of the solve
+        raises :class:`~repro.exceptions.SolverError` instead.
     objective:
         Objective value (``math.inf`` when not optimal).
     values:
@@ -57,15 +58,13 @@ class MILPSolution:
         return self.values[index]
 
 
-def solve_with_scipy(model: MILPModel, time_limit: Optional[float] = None) -> MILPSolution:
+def solve_with_scipy(model: MILPModel) -> MILPSolution:
     """Solve ``model`` with ``scipy.optimize.milp``.
 
-    Parameters
-    ----------
-    model:
-        The MILP to solve.
-    time_limit:
-        Optional wall-clock limit in seconds passed to HiGHS.
+    Raises :class:`~repro.exceptions.SolverError`, carrying HiGHS's message,
+    when the solve ends neither optimal nor proven infeasible (an iteration
+    or time limit, an unbounded model, a numerical failure): such a stop
+    says nothing about whether a feasible group exists.
     """
     try:
         from scipy.optimize import Bounds, LinearConstraint, milp
@@ -99,17 +98,7 @@ def solve_with_scipy(model: MILPModel, time_limit: Optional[float] = None) -> MI
         matrix = csr_matrix((data, (rows, cols)), shape=(len(model.constraints), n))
         constraints = LinearConstraint(matrix, np.asarray(lower), np.asarray(upper))
 
-    options: Dict[str, object] = {}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-
-    result = milp(
-        c=c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=bounds,
-        options=options or None,
-    )
+    result = milp(c=c, constraints=constraints, integrality=integrality, bounds=bounds)
 
     if result.status == 0 and result.x is not None:
         return MILPSolution(
@@ -120,4 +109,4 @@ def solve_with_scipy(model: MILPModel, time_limit: Optional[float] = None) -> MI
         )
     if result.status == 2:
         return MILPSolution(status="infeasible", objective=math.inf, values=[], message=str(result.message))
-    return MILPSolution(status="error", objective=math.inf, values=[], message=str(result.message))
+    raise SolverError(f"HiGHS stopped without an answer (status {result.status}): {result.message}")

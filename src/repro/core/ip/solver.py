@@ -1,8 +1,9 @@
-"""High-level IP solvers for SGQ and STGQ.
+"""High-level IP solver for SGQ and STGQ.
 
-These wrap the model builders and MILP backends into the same result types
-the combinatorial algorithms return, so the experiment harness and tests can
-treat "IP" as just another solver (as the paper's Figures 1(a) and 1(d) do).
+:class:`IPSolver` wraps the model builders and the HiGHS MILP backend into
+the same result types the combinatorial algorithms return, so the experiment
+harness and tests can treat "IP" as just another solver (as the paper's
+Figures 1(a) and 1(d) do).
 """
 
 from __future__ import annotations
@@ -10,18 +11,16 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from ...exceptions import SolverError
 from ...graph.social_graph import SocialGraph
 from ...temporal.calendars import CalendarStore
 from ...temporal.slots import SlotRange
 from ...types import Vertex
 from ..query import SGQuery, STGQuery
 from ..result import GroupResult, STGroupResult, SearchStats
-from .branch_bound import solve_with_branch_bound
 from .model import MILPModel, build_sgq_model, build_stgq_model
 from .scipy_backend import MILPSolution, solve_with_scipy
 
-__all__ = ["IPSolver", "solve_sgq_ip", "solve_stgq_ip"]
+__all__ = ["IPSolver"]
 
 _SELECTION_TOL = 0.5
 
@@ -29,46 +28,37 @@ _SELECTION_TOL = 0.5
 class IPSolver:
     """Solve SGQ / STGQ through the Integer Programming formulation.
 
+    The model is solved by HiGHS through ``scipy.optimize.milp``
+    (:func:`~repro.core.ip.scipy_backend.solve_with_scipy`); a solve that
+    stops without proving optimality or infeasibility raises
+    :class:`~repro.exceptions.SolverError`.
+
     Parameters
     ----------
     formulation:
         ``"compact"`` (default) or ``"full"`` — see
         :mod:`repro.core.ip.model`.
-    backend:
-        ``"scipy"`` (HiGHS MILP, default) or ``"branch-bound"`` (the pure
-        Python fallback).
-    time_limit:
-        Optional time limit in seconds (scipy backend only).
     """
 
-    def __init__(
-        self,
-        formulation: str = "compact",
-        backend: str = "scipy",
-        time_limit: Optional[float] = None,
-    ) -> None:
-        if backend not in ("scipy", "branch-bound"):
-            raise SolverError(f"backend must be 'scipy' or 'branch-bound', got {backend!r}")
+    def __init__(self, formulation: str = "compact") -> None:
         self.formulation = formulation
-        self.backend = backend
-        self.time_limit = time_limit
+        self.solver_name = f"IP({formulation},scipy)"
 
     # ------------------------------------------------------------------
     def solve_sgq(self, graph: SocialGraph, query: SGQuery) -> GroupResult:
         """Answer an SGQ through the IP model."""
         start = time.perf_counter()
         model = build_sgq_model(graph, query, formulation=self.formulation)
-        solution = self._dispatch(model)
+        solution = solve_with_scipy(model)
         stats = SearchStats(elapsed_seconds=time.perf_counter() - start)
-        solver_name = f"IP({self.formulation},{self.backend})"
         if not solution.optimal:
-            return GroupResult.infeasible(solver=solver_name, stats=stats)
+            return GroupResult.infeasible(solver=self.solver_name, stats=stats)
         members = self._selected_members(model, solution)
         return GroupResult(
             feasible=True,
             members=frozenset(members),
             total_distance=float(solution.objective),
-            solver=solver_name,
+            solver=self.solver_name,
             stats=stats,
         )
 
@@ -78,11 +68,10 @@ class IPSolver:
         """Answer an STGQ through the IP model."""
         start = time.perf_counter()
         model = build_stgq_model(graph, calendars, query, formulation=self.formulation)
-        solution = self._dispatch(model)
+        solution = solve_with_scipy(model)
         stats = SearchStats(elapsed_seconds=time.perf_counter() - start)
-        solver_name = f"IP({self.formulation},{self.backend})"
         if not solution.optimal:
-            return STGroupResult.infeasible(solver=solver_name, stats=stats)
+            return STGroupResult.infeasible(solver=self.solver_name, stats=stats)
         members = self._selected_members(model, solution)
         period = self._selected_period(model, solution, query.activity_length)
         return STGroupResult(
@@ -92,16 +81,11 @@ class IPSolver:
             period=period,
             pivot=None,
             shared_slots=period,
-            solver=solver_name,
+            solver=self.solver_name,
             stats=stats,
         )
 
     # ------------------------------------------------------------------
-    def _dispatch(self, model: MILPModel) -> MILPSolution:
-        if self.backend == "scipy":
-            return solve_with_scipy(model, time_limit=self.time_limit)
-        return solve_with_branch_bound(model)
-
     @staticmethod
     def _selected_members(model: MILPModel, solution: MILPSolution):
         phi: Dict[Vertex, int] = model.metadata["phi"]  # type: ignore[assignment]
@@ -116,41 +100,3 @@ class IPSolver:
             if solution.value_of(idx) > _SELECTION_TOL:
                 return SlotRange(t, t + activity_length - 1)
         return None
-
-
-def solve_sgq_ip(
-    graph: SocialGraph,
-    initiator: Vertex,
-    group_size: int,
-    radius: int,
-    acquaintance: int,
-    formulation: str = "compact",
-    backend: str = "scipy",
-) -> GroupResult:
-    """Convenience wrapper: build the SGQ and solve it through the IP model."""
-    query = SGQuery(
-        initiator=initiator, group_size=group_size, radius=radius, acquaintance=acquaintance
-    )
-    return IPSolver(formulation=formulation, backend=backend).solve_sgq(graph, query)
-
-
-def solve_stgq_ip(
-    graph: SocialGraph,
-    calendars: CalendarStore,
-    initiator: Vertex,
-    group_size: int,
-    radius: int,
-    acquaintance: int,
-    activity_length: int,
-    formulation: str = "compact",
-    backend: str = "scipy",
-) -> STGroupResult:
-    """Convenience wrapper: build the STGQ and solve it through the IP model."""
-    query = STGQuery(
-        initiator=initiator,
-        group_size=group_size,
-        radius=radius,
-        acquaintance=acquaintance,
-        activity_length=activity_length,
-    )
-    return IPSolver(formulation=formulation, backend=backend).solve_stgq(graph, calendars, query)

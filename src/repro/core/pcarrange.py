@@ -37,7 +37,7 @@ from .constraints import observed_acquaintance
 from .query import STGQuery
 from .result import STGroupResult, SearchStats
 
-__all__ = ["PCArrange", "pc_arrange"]
+__all__ = ["PCArrange"]
 
 
 class PCArrange:
@@ -103,22 +103,3 @@ class PCArrange:
         if not result.feasible:
             return 0
         return observed_acquaintance(self.graph, result.members)
-
-
-def pc_arrange(
-    graph: SocialGraph,
-    calendars: CalendarStore,
-    initiator: Vertex,
-    group_size: int,
-    radius: int,
-    activity_length: int,
-) -> STGroupResult:
-    """Convenience wrapper for :class:`PCArrange` (no acquaintance parameter)."""
-    query = STGQuery(
-        initiator=initiator,
-        group_size=group_size,
-        radius=radius,
-        acquaintance=group_size,  # ignored by PCArrange; any valid value works
-        activity_length=activity_length,
-    )
-    return PCArrange(graph, calendars).solve(query)

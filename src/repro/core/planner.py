@@ -35,6 +35,12 @@ _STG_ALGORITHMS = ("stgselect", "baseline", "ip", "pcarrange", "greedy")
 class ActivityPlanner:
     """Plan activities over a social graph and (optionally) a calendar store.
 
+    The planner is one of the package's two calling conventions: keywords
+    plus an algorithm name.  The other builds a solver class and hands it a
+    query object, e.g. ``SGSelect(graph).solve(SGQuery(...))``, which is
+    what each planner method does.  Both return a result object, with
+    ``feasible=False`` when no group exists.
+
     Parameters
     ----------
     graph:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from typing import Optional, Set, Tuple
 
-from ..exceptions import InfeasibleQueryError
 from .context import SearchContext, record_into
 from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph
 from ..graph.extraction import FeasibleGraph, extract_query_forms
@@ -28,7 +27,7 @@ from .query import SearchParameters, SGQuery
 from .result import GroupResult, SearchStats
 from .search import BitsetSearch, Incumbent, ReferenceSearch
 
-__all__ = ["SGSelect", "sg_select"]
+__all__ = ["SGSelect"]
 
 
 class SGSelect:
@@ -65,21 +64,18 @@ class SGSelect:
     def solve(
         self,
         query: SGQuery,
-        on_infeasible: str = "return",
         allowed_candidates: Optional[Set[Vertex]] = None,
         feasible_graph: Optional[FeasibleGraph] = None,
         compiled_graph: Optional[CompiledFeasibleGraph] = None,
         context: Optional[SearchContext] = None,
     ) -> GroupResult:
-        """Answer ``query`` and return the optimal group.
+        """Answer ``query``: the optimal group, or an infeasible result
+        (``feasible=False``) when no group satisfies it.
 
         Parameters
         ----------
         query:
             The SGQ to answer.
-        on_infeasible:
-            ``"return"`` (default) yields an infeasible :class:`GroupResult`;
-            ``"raise"`` raises :class:`InfeasibleQueryError` instead.
         allowed_candidates:
             Optional restriction of the candidate pool (the initiator is
             always allowed).  Social distances are still measured on the full
@@ -123,10 +119,7 @@ class SGSelect:
         record_into(context, stats)
 
         if result is None:
-            final = GroupResult.infeasible(solver="SGSelect", stats=stats)
-            if on_infeasible == "raise":
-                raise InfeasibleQueryError(f"no feasible group for {query.describe()}")
-            return final
+            return GroupResult.infeasible(solver="SGSelect", stats=stats)
         members, total = result
         return GroupResult(
             feasible=True,
@@ -176,18 +169,3 @@ class SGSelect:
         if incumbent.members is None:
             return None
         return incumbent.members, float(incumbent.distance)
-
-
-def sg_select(
-    graph: SocialGraph,
-    initiator: Vertex,
-    group_size: int,
-    radius: int,
-    acquaintance: int,
-    parameters: Optional[SearchParameters] = None,
-) -> GroupResult:
-    """Convenience wrapper: build the query and run :class:`SGSelect` once."""
-    query = SGQuery(
-        initiator=initiator, group_size=group_size, radius=radius, acquaintance=acquaintance
-    )
-    return SGSelect(graph, parameters).solve(query)

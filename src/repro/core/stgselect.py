@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from ..exceptions import InfeasibleQueryError, ScheduleError
+from ..exceptions import ScheduleError
 from .context import SearchContext, record_into
 from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph
 from ..graph.extraction import FeasibleGraph, extract_query_forms
@@ -40,13 +40,12 @@ from ..temporal.calendars import CalendarStore
 from ..temporal.pivot import PivotWindow, candidate_periods, pivot_feasible, pivot_windows
 from ..temporal.schedule import Schedule
 from ..temporal.slots import SlotRange
-from ..types import Vertex
 from .pruning import availability_pruning, availability_pruning_bitset, busy_slot_masks
 from .query import STGQuery, SearchParameters
 from .result import STGroupResult, SearchStats
 from .search import BitsetSearch, Incumbent, PivotHook, ReferenceSearch
 
-__all__ = ["STGSelect", "stg_select"]
+__all__ = ["STGSelect"]
 
 
 class STGSelect:
@@ -79,12 +78,12 @@ class STGSelect:
     def solve(
         self,
         query: STGQuery,
-        on_infeasible: str = "return",
         feasible_graph: Optional[FeasibleGraph] = None,
         compiled_graph: Optional[CompiledFeasibleGraph] = None,
         context: Optional[SearchContext] = None,
     ) -> STGroupResult:
-        """Answer ``query`` and return the optimal group and activity period.
+        """Answer ``query``: the optimal group and activity period, or an
+        infeasible result (``feasible=False``) when no group satisfies it.
 
         ``feasible_graph`` / ``compiled_graph`` allow a caller (the batched
         :class:`~repro.service.QueryService`) to reuse a cached extraction
@@ -141,10 +140,7 @@ class STGSelect:
         stats.elapsed_seconds = time.perf_counter() - start
         record_into(context, stats)
         if incumbent.members is None:
-            result = STGroupResult.infeasible(solver="STGSelect", stats=stats)
-            if on_infeasible == "raise":
-                raise InfeasibleQueryError(f"no feasible group for {query.describe()}")
-            return result
+            return STGroupResult.infeasible(solver="STGSelect", stats=stats)
 
         shared: SlotRange = incumbent.shared  # type: ignore[assignment]
         period = self._canonical_period(shared, incumbent.pivot, m)  # type: ignore[arg-type]
@@ -238,24 +234,3 @@ class STGSelect:
         )
         search = ReferenceSearch(query, self.parameters, incumbent, stats, hook)
         search.run(feasible_graph, candidates, q_run)
-
-
-def stg_select(
-    graph: SocialGraph,
-    calendars: CalendarStore,
-    initiator: Vertex,
-    group_size: int,
-    radius: int,
-    acquaintance: int,
-    activity_length: int,
-    parameters: Optional[SearchParameters] = None,
-) -> STGroupResult:
-    """Convenience wrapper: build the query and run :class:`STGSelect` once."""
-    query = STGQuery(
-        initiator=initiator,
-        group_size=group_size,
-        radius=radius,
-        acquaintance=acquaintance,
-        activity_length=activity_length,
-    )
-    return STGSelect(graph, calendars, parameters).solve(query)

@@ -3,7 +3,9 @@
 All library-specific errors derive from :class:`ReproError` so callers can
 catch a single base class.  The hierarchy mirrors the main failure modes of
 the paper's query model: malformed graphs or schedules, invalid query
-parameters, and queries that admit no feasible group.
+parameters, and a MILP solve that ends without an answer.  A query that
+admits no feasible group is not an error: every solver returns a result
+whose ``feasible`` flag is ``False``.
 """
 
 from __future__ import annotations
@@ -50,15 +52,6 @@ class ScheduleError(ReproError):
 
 class QueryError(ReproError):
     """Raised when query parameters are invalid (e.g. non-positive group size)."""
-
-
-class InfeasibleQueryError(QueryError):
-    """Raised (optionally) when a query has no feasible group.
-
-    The solvers return a result object whose ``feasible`` flag is ``False``
-    by default; callers who prefer exceptions can request raising behaviour
-    via ``on_infeasible="raise"``.
-    """
 
 
 class SolverError(ReproError):

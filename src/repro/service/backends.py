@@ -305,8 +305,15 @@ class ProcessBackend(RemoteBackend):
 
         Children that have not started yet have no state to update: they
         boot from the already-mutated graph at the current live version.
+        When one child has exited they are all stopped instead, and the
+        next batch restarts them from that graph, as it would anyway.  A
+        child that dies after this check fails the call.
         """
-        if self._children is None:
+        children = self._children
+        if children is None:
+            return 0
+        if any(child.poll() is not None for child in children.processes):
+            self._stop(children)
             return 0
         return super().apply_mutations(service, batch)
 

@@ -45,7 +45,7 @@ import pickle
 import signal
 import sys
 import threading
-from typing import TYPE_CHECKING, Any, Dict, Optional, Set, TextIO, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, TextIO, Tuple
 
 from ...exceptions import ProtocolError, QueryError, ReproError
 from ...graph.mutations import MutationBatch
@@ -92,7 +92,8 @@ class WorkerServer:
         )
         self._placement_version: int = placement.version if placement is not None else 0
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
+        # Each open connection's writer and the task that handles it.
+        self._clients: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         # In-flight frame accounting for the SIGTERM drain: a frame counts
         # from the moment it is fully read until its reply is written, and
         # aclose() waits for the count to hit zero before closing sockets.
@@ -126,13 +127,15 @@ class WorkerServer:
         is torn down — a mid-batch SIGTERM no longer drops responses whose
         requests the worker already accepted.  ``drain_timeout`` bounds
         the wait; a batch still running when it expires is abandoned with
-        the close (the orchestrator's SIGKILL escalation territory).
-        Idempotent.
+        the close (the orchestrator's SIGKILL escalation territory).  Idle
+        connections are closed too, and their handlers (waited for, again
+        for at most ``drain_timeout``) end as hang-ups before
+        ``wait_closed()``, which since Python 3.12 waits for every open
+        connection.  Idempotent.
         """
         server, self._server = self._server, None
         if server is not None:
             server.close()
-            await server.wait_closed()
         self._draining = True
         if self._inflight:
             try:
@@ -142,9 +145,13 @@ class WorkerServer:
                     f"worker drain timed out with {self._inflight} frames in flight",
                     file=sys.stderr,
                 )
-        for writer in list(self._writers):
+        handlers = list(self._clients.values())
+        for writer in list(self._clients):
             writer.close()
-        self._writers.clear()
+        if handlers:
+            await asyncio.wait(handlers, timeout=drain_timeout)
+        if server is not None:
+            await server.wait_closed()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -152,9 +159,9 @@ class WorkerServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
+        self._clients[writer] = asyncio.current_task()
         try:
-            while True:
+            while not self._draining:
                 try:
                     frame = await read_frame(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
@@ -177,12 +184,12 @@ class WorkerServer:
                     self._inflight -= 1
                     if self._inflight == 0:
                         self._idle.set()
-                if not keep_open or self._draining:
+                if not keep_open:
                     break
         except (ConnectionError, ProtocolError):  # peer died mid-write
             pass
         finally:
-            self._writers.discard(writer)
+            self._clients.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -5,7 +5,7 @@ import pytest
 
 from tests.conftest import make_random_calendars, make_random_graph
 
-from repro.core import BaselineSGQ, BaselineSTGQ, SGQuery, STGQuery, baseline_sg, baseline_stg
+from repro.core import BaselineSGQ, BaselineSTGQ, SGQuery, STGQuery
 from repro.temporal import CalendarStore, Schedule
 
 
@@ -44,10 +44,6 @@ class TestBaselineSGQ:
         # C(5, 3) = 10 candidate groups, as in the paper's Example 1.
         assert result.stats.nodes_expanded == 10
 
-    def test_convenience_wrapper(self, toy_dataset):
-        result = baseline_sg(toy_dataset.graph, "v7", 4, 1, 1)
-        assert result.total_distance == pytest.approx(62.0)
-
 
 class TestBaselineSTGQ:
     def test_toy_example(self, toy_dataset):
@@ -82,10 +78,6 @@ class TestBaselineSTGQ:
         )
         # Horizon 7, m = 3 -> 5 candidate periods examined.
         assert result.stats.pivots_processed == 5
-
-    def test_convenience_wrapper(self, toy_dataset):
-        result = baseline_stg(toy_dataset.graph, toy_dataset.calendars, "v7", 4, 1, 1, 3)
-        assert result.feasible
 
     @pytest.mark.parametrize("seed", range(4))
     def test_inner_variants_agree_on_random_instances(self, seed):

@@ -14,8 +14,6 @@ from repro.core import (
     STGSelect,
     check_sg_solution,
     check_stg_solution,
-    greedy_sg,
-    greedy_stg,
 )
 from repro.temporal import CalendarStore, Schedule
 
@@ -67,9 +65,6 @@ class TestGreedySGQ:
             assert check_sg_solution(graph, query, greedy.members).ok
             assert greedy.total_distance >= exact.total_distance - 1e-9
 
-    def test_convenience_wrapper(self, toy_dataset):
-        assert greedy_sg(toy_dataset.graph, "v7", 4, 1, 1).feasible
-
 
 class TestGreedySTGQ:
     def test_toy_example(self, toy_dataset):
@@ -77,6 +72,7 @@ class TestGreedySTGQ:
         greedy = GreedySTGQ(toy_dataset.graph, toy_dataset.calendars).solve(query)
         exact = STGSelect(toy_dataset.graph, toy_dataset.calendars).solve(query)
         assert greedy.feasible
+        assert greedy.solver == "GreedySTGQ"
         assert check_stg_solution(
             toy_dataset.graph, toy_dataset.calendars, query, greedy.members, greedy.period
         ).ok
@@ -105,10 +101,6 @@ class TestGreedySTGQ:
             # The heuristic may miss feasible instances, but on these small
             # dense instances it should rarely do so; tolerate but record.
             pytest.skip("greedy missed a feasible instance (allowed for a heuristic)")
-
-    def test_convenience_wrapper(self, toy_dataset):
-        result = greedy_stg(toy_dataset.graph, toy_dataset.calendars, "v7", 4, 1, 1, 3)
-        assert result.solver == "GreedySTGQ"
 
 
 class TestPlannerIntegration:

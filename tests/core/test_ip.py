@@ -1,17 +1,16 @@
-"""Unit tests for the Integer Programming formulation and its backends."""
+"""Unit tests for the Integer Programming formulation and its HiGHS backend."""
 
 import math
 
 import pytest
 
 pytest.importorskip(
-    "scipy", reason="the MILP backends need scipy (and numpy)", exc_type=ImportError
+    "scipy", reason="the MILP backend needs scipy (and numpy)", exc_type=ImportError
 )
 
-from tests.conftest import make_random_graph
+from tests.conftest import make_random_calendars, make_random_graph
 
-from repro.core import IPSolver, SGQuery, STGQuery, SGSelect, STGSelect, solve_sgq_ip, solve_stgq_ip
-from repro.core.ip.branch_bound import solve_with_branch_bound
+from repro.core import IPSolver, SGQuery, STGQuery, SGSelect, STGSelect, check_stg_solution
 from repro.core.ip.model import MILPModel, build_sgq_model, build_stgq_model
 from repro.core.ip.scipy_backend import solve_with_scipy
 from repro.exceptions import SolverError
@@ -81,34 +80,22 @@ class TestBackends:
         assert solution.optimal
         assert solution.objective == 0.0
 
-    def test_branch_bound_empty_model(self):
-        solution = solve_with_branch_bound(MILPModel())
-        assert solution.optimal
-
-    def test_backends_agree_on_sgq_model(self, toy_dataset):
-        model = build_sgq_model(toy_dataset.graph, SGQuery("v7", 4, 1, 1))
-        a = solve_with_scipy(model)
-        b = solve_with_branch_bound(model)
-        assert a.optimal and b.optimal
-        assert a.objective == pytest.approx(b.objective)
-        assert a.objective == pytest.approx(62.0)
-
     def test_infeasible_model(self):
         model = MILPModel()
         x = model.add_variable("x")
         model.add_constraint({x: 1.0}, lower=2.0, upper=3.0)  # binary cannot reach 2
         assert solve_with_scipy(model).status == "infeasible"
-        assert solve_with_branch_bound(model).status == "infeasible"
 
-    def test_branch_bound_node_cap(self):
-        # A model whose LP relaxation is fractional forces at least one branch,
-        # so a single-node cap must trip.
-        model = MILPModel()
-        x = model.add_variable("x", cost=-1.0)
-        y = model.add_variable("y", cost=-1.0)
-        model.add_constraint({x: 1.0, y: 1.0}, lower=-math.inf, upper=1.5, name="cap")
-        with pytest.raises(SolverError):
-            solve_with_branch_bound(model, max_nodes=1)
+    def test_stop_without_answer_raises(self, toy_dataset, monkeypatch):
+        # A HiGHS stop that proves neither optimality nor infeasibility (here
+        # status 1, a time or iteration limit) must not read as "no group".
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+
+        stopped = OptimizeResult(status=1, x=None, fun=None, message="Time limit reached")
+        monkeypatch.setattr(scipy.optimize, "milp", lambda **kwargs: stopped)
+        with pytest.raises(SolverError, match="Time limit reached"):
+            IPSolver().solve_sgq(toy_dataset.graph, SGQuery("v7", 4, 1, 1))
 
     def test_solution_value_of_defaults_to_zero_when_not_optimal(self):
         from repro.core.ip.scipy_backend import MILPSolution
@@ -118,16 +105,13 @@ class TestBackends:
 
 
 class TestIPSolver:
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(SolverError):
-            IPSolver(backend="cplex")
-
     def test_sgq_matches_sgselect(self, toy_dataset):
         query = SGQuery("v7", 4, 1, 1)
         ip = IPSolver().solve_sgq(toy_dataset.graph, query)
         combinatorial = SGSelect(toy_dataset.graph).solve(query)
         assert ip.matches(combinatorial)
         assert ip.members == combinatorial.members
+        assert ip.solver == "IP(compact,scipy)"
 
     def test_full_formulation_matches_compact(self, toy_dataset):
         query = SGQuery("v7", 4, 1, 1)
@@ -164,18 +148,6 @@ class TestIPSolver:
         result = IPSolver().solve_sgq(star_graph, SGQuery("q", 3, 1, 0))
         assert not result.feasible
 
-    def test_branch_bound_backend_end_to_end(self, toy_dataset):
-        result = IPSolver(backend="branch-bound").solve_sgq(
-            toy_dataset.graph, SGQuery("v7", 4, 1, 1)
-        )
-        assert result.feasible
-        assert result.total_distance == pytest.approx(62.0)
-
-    def test_convenience_wrappers(self, toy_dataset):
-        sg = solve_sgq_ip(toy_dataset.graph, "v7", 4, 1, 1)
-        stg = solve_stgq_ip(toy_dataset.graph, toy_dataset.calendars, "v7", 4, 1, 1, 3)
-        assert sg.feasible and stg.feasible
-
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_sgselect_on_random_graphs(self, seed):
         graph = make_random_graph(seed, n=9, edge_prob=0.45)
@@ -183,3 +155,14 @@ class TestIPSolver:
         ip = IPSolver().solve_sgq(graph, query)
         combinatorial = SGSelect(graph).solve(query)
         assert ip.matches(combinatorial)
+
+    @pytest.mark.parametrize("query", [STGQuery(0, 4, 2, 1, 2), STGQuery(0, 3, 1, 1, 3)])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_stgselect_on_random_instances(self, seed, query):
+        graph = make_random_graph(seed, n=9, edge_prob=0.5)
+        calendars = make_random_calendars(seed, range(9), horizon=8, availability=0.8)
+        ip = IPSolver().solve_stgq(graph, calendars, query)
+        combinatorial = STGSelect(graph, calendars).solve(query)
+        assert ip.matches(combinatorial)
+        if ip.feasible:
+            assert check_stg_solution(graph, calendars, query, ip.members, ip.period).ok

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PCArrange, STGQuery, STGSelect, check_stg_solution, pc_arrange
+from repro.core import PCArrange, STGQuery, STGSelect, check_stg_solution
 from repro.temporal import CalendarStore, Schedule
 
 
@@ -14,6 +14,7 @@ class TestPCArrange:
         result = PCArrange(toy_dataset.graph, cal).solve(STGQuery("v7", 4, 1, 4, 3))
         # Closest-first coordination: v2 (17), v3 (18), v6 (23).
         assert result.feasible
+        assert result.solver == "PCArrange"
         assert result.members == frozenset({"v7", "v2", "v3", "v6"})
         assert result.total_distance == pytest.approx(17.0 + 18.0 + 23.0)
 
@@ -67,8 +68,3 @@ class TestPCArrange:
         )
         assert optimal.feasible
         assert optimal.total_distance <= result.total_distance
-
-    def test_convenience_wrapper(self, toy_dataset):
-        result = pc_arrange(toy_dataset.graph, toy_dataset.calendars, "v7", 4, 1, 3)
-        assert result.feasible
-        assert result.solver == "PCArrange"

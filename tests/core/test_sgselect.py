@@ -5,8 +5,7 @@ import math
 import pytest
 
 from tests.conftest import make_random_graph
-from repro.core import BaselineSGQ, SGQuery, SGSelect, SearchParameters, check_sg_solution, sg_select
-from repro.exceptions import InfeasibleQueryError
+from repro.core import BaselineSGQ, SGQuery, SGSelect, SearchParameters, check_sg_solution
 
 
 class TestBasics:
@@ -40,19 +39,11 @@ class TestBasics:
         result = SGSelect(triangle_graph).solve(SGQuery("q", 5, 1, 4))
         assert not result.feasible
 
-    def test_on_infeasible_raise(self, star_graph):
-        with pytest.raises(InfeasibleQueryError):
-            SGSelect(star_graph).solve(SGQuery("q", 3, 1, 0), on_infeasible="raise")
-
     def test_solver_name_and_stats(self, toy_dataset):
         result = SGSelect(toy_dataset.graph).solve(SGQuery("v7", 4, 1, 1))
         assert result.solver == "SGSelect"
         assert result.stats.nodes_expanded > 0
         assert result.stats.elapsed_seconds >= 0.0
-
-    def test_convenience_wrapper(self, toy_dataset):
-        result = sg_select(toy_dataset.graph, "v7", 4, 1, 1)
-        assert result.total_distance == pytest.approx(62.0)
 
 
 class TestRadiusSemantics:

@@ -11,9 +11,8 @@ from repro.core import (
     STGSelect,
     SearchParameters,
     check_stg_solution,
-    stg_select,
 )
-from repro.exceptions import InfeasibleQueryError, ScheduleError
+from repro.exceptions import ScheduleError
 from repro.graph import SocialGraph
 from repro.temporal import CalendarStore, Schedule, SlotRange
 
@@ -72,13 +71,6 @@ class TestBasics:
         with pytest.raises(ScheduleError):
             STGSelect(triangle_graph, cal).solve(STGQuery("q", 2, 1, 1, 5))
 
-    def test_on_infeasible_raise(self, triangle_graph):
-        cal = CalendarStore(6)  # nobody registered -> nobody available
-        with pytest.raises(InfeasibleQueryError):
-            STGSelect(triangle_graph, cal).solve(
-                STGQuery("q", 2, 1, 1, 2), on_infeasible="raise"
-            )
-
     def test_solver_name_and_stats(self, toy_dataset):
         result = STGSelect(toy_dataset.graph, toy_dataset.calendars).solve(
             STGQuery("v7", 4, 1, 1, 3)
@@ -86,11 +78,6 @@ class TestBasics:
         assert result.solver == "STGSelect"
         assert result.stats.pivots_processed >= 1
         assert result.stats.nodes_expanded > 0
-
-    def test_convenience_wrapper(self, toy_dataset):
-        result = stg_select(toy_dataset.graph, toy_dataset.calendars, "v7", 4, 1, 1, 3)
-        assert result.feasible
-        assert result.members == frozenset({"v2", "v4", "v6", "v7"})
 
 
 class TestTemporalSemantics:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import SGQuery, STGQuery
 from repro.exceptions import QueryError
 from repro.experiments.workloads import workload
+from repro.graph.mutations import Mutation
 from repro.service import (
     BACKEND_NAMES,
     ErrorResult,
@@ -289,6 +290,28 @@ class TestProcessBackend:
             assert not any(isinstance(r, ErrorResult) for r in results)
             assert responses(results) == reference
             assert all(child.poll() is None for child in backend._children.processes)
+
+    def test_mutation_after_a_child_exited_reports_success(self, dataset):
+        # The mutation sees the exit and stops the children instead of
+        # reporting the dead one as a failed distribution; the next batch
+        # restarts both from the mutated graph at the new live version.
+        batch, _ = shard_batch(dataset)
+        first = batch[0].initiator
+        stranger = next(
+            p for p in dataset.people if p != first and not dataset.graph.has_edge(first, p)
+        )
+        mutation = Mutation.add_edge(first, stranger, 0.5)
+        with QueryService(dataset.graph.copy(), dataset.calendars) as reference:
+            reference.apply_mutations([mutation])
+            expected = responses(reference.solve_many(batch))
+        backend = ProcessBackend(workers=2)
+        with QueryService(dataset.graph.copy(), dataset.calendars, backend=backend) as service:
+            service.solve(batch[0])  # starts both children
+            victim = backend._children.processes[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.wait(10)
+            assert service.apply_mutations([mutation]).to_version == 1
+            assert responses(service.solve_many(batch)) == expected
 
 
 class TestBackendConstruction:

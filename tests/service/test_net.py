@@ -14,6 +14,8 @@ import os
 import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -726,6 +728,28 @@ class TestLocalCluster:
         # exits 0 instead of dying on the signal.
         assert cluster.processes == []
         assert [process.returncode for process in worker_processes] == [0]
+
+    def test_sigterm_stops_worker_with_an_idle_client(self):
+        # A handshaken, idle client (a gateway's persistent link) must not
+        # keep a SIGTERMed worker alive, nor end as a cancelled handler.
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0", "--people", "40"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            _, host, port = worker.stdout.readline().split()
+            with _client_socket(f"{host}:{port}") as sock:
+                send_frame(sock, {"type": "hello", "v": PROTOCOL_VERSION})
+                assert recv_frame(sock)["type"] == "hello"
+                worker.send_signal(signal.SIGTERM)
+                assert worker.wait(5) == 0
+            assert "Traceback" not in worker.stderr.read()
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+            worker.communicate(timeout=10)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Package-level tests: public API surface, exceptions hierarchy, docstrings."""
 
-import importlib
+import importlib.util
 import inspect
 
 import pytest
@@ -65,12 +65,53 @@ class TestPublicAPI:
                 assert obj.__doc__, f"{module_name}.{name} has no docstring"
 
 
+class TestOneCallingConvention:
+    """A solver is a class given a query object, or the planner by name."""
+
+    RETIRED = (
+        "sg_select",
+        "stg_select",
+        "baseline_sg",
+        "baseline_stg",
+        "greedy_sg",
+        "greedy_stg",
+        "pc_arrange",
+        "solve_sgq_ip",
+        "solve_stgq_ip",
+        "solve_with_branch_bound",
+        "InfeasibleQueryError",
+    )
+
+    @pytest.mark.parametrize("module_name", ["repro", "repro.core", "repro.core.ip"])
+    def test_retired_names_are_gone(self, module_name):
+        module = importlib.import_module(module_name)
+        for name in self.RETIRED:
+            assert not hasattr(module, name), f"{module_name}.{name} still exists"
+            assert name not in getattr(module, "__all__", [])
+        assert not hasattr(exceptions, "InfeasibleQueryError")
+        assert importlib.util.find_spec("repro.core.ip.branch_bound") is None
+
+    def test_retired_keywords_are_rejected(self, star_graph):
+        from repro.core import IPSolver, SGQuery, SGSelect, STGQuery, STGSelect
+        from repro.temporal import CalendarStore
+
+        with pytest.raises(TypeError):
+            IPSolver(backend="branch-bound")
+        with pytest.raises(TypeError):
+            IPSolver(time_limit=1.0)
+        with pytest.raises(TypeError):
+            SGSelect(star_graph).solve(SGQuery("q", 3, 1, 0), on_infeasible="raise")
+        with pytest.raises(TypeError):
+            STGSelect(star_graph, CalendarStore(4)).solve(
+                STGQuery("q", 2, 1, 1, 2), on_infeasible="raise"
+            )
+
+
 class TestExceptions:
     def test_hierarchy(self):
         assert issubclass(exceptions.GraphError, exceptions.ReproError)
         assert issubclass(exceptions.ScheduleError, exceptions.ReproError)
         assert issubclass(exceptions.QueryError, exceptions.ReproError)
-        assert issubclass(exceptions.InfeasibleQueryError, exceptions.QueryError)
         assert issubclass(exceptions.SolverError, exceptions.ReproError)
         assert issubclass(exceptions.VertexNotFoundError, exceptions.GraphError)
         assert issubclass(exceptions.EdgeNotFoundError, exceptions.GraphError)

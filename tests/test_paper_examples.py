@@ -57,7 +57,6 @@ class TestExample2SGQ:
             results += [
                 IPSolver().solve_sgq(toy_dataset.graph, query),
                 IPSolver(formulation="full").solve_sgq(toy_dataset.graph, query),
-                IPSolver(backend="branch-bound").solve_sgq(toy_dataset.graph, query),
             ]
         for result in results:
             assert result.members == frozenset({"v2", "v3", "v4", "v7"})
