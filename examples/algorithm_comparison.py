@@ -62,6 +62,9 @@ def main() -> int:
 
     # ------------------------------------------------------------------
     sg_query = SGQuery(initiator=initiator, group_size=6, radius=1, acquaintance=2)
+    # Untimed: the first IP solve in a process pays for importing scipy and
+    # numpy and for starting HiGHS, which would dwarf the timed solve.
+    IPSolver().solve_sgq(graph, sg_query)
     print(f"Social Group Query: {sg_query.describe()}")
     rows = [
         timed("SGSelect (branch & bound)", lambda: SGSelect(graph).solve(sg_query)),

@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a QueryService over the framed TCP protocol (cluster building block)",
         description=(
             "Run one cluster worker: a QueryService on the seeded dataset behind "
-            "an asyncio TCP server speaking the length-framed stgq protocol "
+            "a TCP server (one thread per connection) speaking the length-framed stgq protocol "
             "(hello/ping/stats control frames + batch query frames). Gateways "
             "(stgq serve --backend remote) route each initiator's queries to the "
             "worker owning its shard, so this worker's ego-network cache stays "

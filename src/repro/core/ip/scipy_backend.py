@@ -12,11 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-try:  # numpy arrives with scipy; both are optional for the MILP comparison.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
 from ...exceptions import SolverError
 from .model import MILPModel
 
@@ -66,7 +61,8 @@ def solve_with_scipy(model: MILPModel) -> MILPSolution:
     or time limit, an unbounded model, a numerical failure): such a stop
     says nothing about whether a feasible group exists.
     """
-    try:
+    try:  # numpy arrives with scipy; both load on the first solve.
+        import numpy as np
         from scipy.optimize import Bounds, LinearConstraint, milp
         from scipy.sparse import csr_matrix
     except ImportError as exc:  # pragma: no cover - scipy is a hard dependency

@@ -32,11 +32,6 @@ from ..temporal.schedule import Schedule
 from ..temporal.slots import SLOTS_PER_DAY_DEFAULT
 from .base import Dataset
 
-try:  # pragma: no cover - exercised indirectly via csr_available()
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
 __all__ = ["generate_scale_dataset", "generate_scale_graph", "dataset_from_substrate"]
 
 PathLike = Union[str, Path]
@@ -104,6 +99,8 @@ def generate_scale_graph(
     """
     if not csr_available():  # pragma: no cover - numpy present in CI legs using this
         raise GraphError("scale datasets require numpy (CSR substrate unavailable)")
+    import numpy as np
+
     if n_people < 2:
         raise GraphError(f"n_people must be >= 2, got {n_people}")
     if mean_degree <= 0:

@@ -18,17 +18,11 @@ hardware, C vs. pure Python); the claims reproduced are the *shapes*:
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Callable, Dict
 
 from ..core.baseline import BaselineSGQ, BaselineSTGQ
 from ..core.ip.solver import IPSolver
-
-try:  # scipy (and its numpy) is optional; without it the IP column is omitted.
-    import scipy  # noqa: F401
-
-    _HAVE_MILP_BACKEND = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _HAVE_MILP_BACKEND = False
 from ..core.query import SGQuery, STGQuery
 from ..core.sgselect import SGSelect
 from ..core.stgarrange import STGArrange
@@ -38,6 +32,10 @@ from ..types import Vertex
 from .config import ExperimentScale, FigureConfig, figure_config
 from .runner import FigureSeries, SeriesPoint, measure
 from .workloads import ego_size, pick_initiator, workload
+
+# scipy (and its numpy) is optional; without it the IP column is omitted.
+# Asked of the import system, so loading this module does not import scipy.
+_HAVE_MILP_BACKEND = importlib.util.find_spec("scipy") is not None
 
 __all__ = [
     "run_figure",

@@ -17,13 +17,15 @@ adjacency, and shipping a graph over pickle (the state a process-backend
 child boots from) degenerates to shipping *path + version hash* —
 see :meth:`CSRGraph.__reduce__`.
 
-Requires numpy; import stays safe without it and :func:`csr_available`
-gates every caller.
+Requires numpy, imported on first use: importing this module does not load
+it, and :func:`csr_available` asks whether it is installed without
+importing it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import struct
@@ -34,11 +36,6 @@ from ..exceptions import EdgeNotFoundError, GraphError, VertexNotFoundError
 from ..types import Vertex, WeightedEdge
 from .social_graph import SocialGraph
 from .substrate import GraphSubstrate
-
-try:  # numpy is an optional dependency (the [speed] extra)
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
 
 __all__ = [
     "CSRGraph",
@@ -87,15 +84,19 @@ _MAX_HEADER_BYTES = 1 << 20
 
 
 def csr_available() -> bool:
-    """True when the CSR substrate can be used (numpy importable)."""
-    return np is not None
+    """True when the CSR substrate can be used (numpy installed)."""
+    return importlib.util.find_spec("numpy") is not None
 
 
-def _require_numpy() -> None:
-    if np is None:
+def _numpy():
+    """numpy (an optional dependency, the [speed] extra), imported on first use."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
         raise GraphError(
             "the CSR graph substrate requires numpy; install the [speed] extra"
-        )
+        ) from None
+    return numpy
 
 
 def _is_int_id(v: object) -> bool:
@@ -142,7 +143,7 @@ class CSRGraph:
         path: Optional[str] = None,
         version: Optional[str] = None,
     ) -> None:
-        _require_numpy()
+        _numpy()
         if len(indptr) < 1:
             raise GraphError("indptr must have at least one entry")
         n = len(indptr) - 1
@@ -174,7 +175,7 @@ class CSRGraph:
         duplicate edges and non-positive/non-finite weights are rejected
         with :class:`GraphError`, matching :meth:`SocialGraph.add_edge`.
         """
-        _require_numpy()
+        np = _numpy()
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
@@ -217,7 +218,7 @@ class CSRGraph:
         order the feasible-graph extraction also uses, which is what makes
         dict and CSR results byte-identical.
         """
-        _require_numpy()
+        np = _numpy()
         if isinstance(graph, CSRGraph):
             return graph
         ids = graph.vertices()
@@ -245,7 +246,7 @@ class CSRGraph:
             if 0 <= v < self._n:
                 return v
             raise VertexNotFoundError(v)
-        i = int(np.searchsorted(self._labels, v))
+        i = int(_numpy().searchsorted(self._labels, v))
         if i < self._n and int(self._labels[i]) == v:
             return i
         raise VertexNotFoundError(v)
@@ -340,7 +341,7 @@ class CSRGraph:
             raise EdgeNotFoundError(u, v) from None
         start, end = int(self._indptr[ru]), int(self._indptr[ru + 1])
         # Rows are sorted, so edge membership is a binary search.
-        pos = start + int(np.searchsorted(self._indices[start:end], rv))
+        pos = start + int(_numpy().searchsorted(self._indices[start:end], rv))
         if pos < end and int(self._indices[pos]) == rv:
             return pos
         raise EdgeNotFoundError(u, v)
@@ -396,6 +397,7 @@ class CSRGraph:
         sub = SocialGraph(vertices=keep)
         if not keep:
             return sub
+        np = _numpy()
         keys = np.asarray(keep, dtype=np.int64)
         if self._labels is None:
             rows = keys
@@ -434,6 +436,7 @@ class CSRGraph:
         per-frontier-vertex ``.tolist()`` / ``int(indptr[...])`` loops the
         first CSR cut paid on every hot path.
         """
+        np = _numpy()
         indptr = self._indptr
         starts = indptr[rows]
         counts = indptr[rows + 1] - starts
@@ -463,6 +466,7 @@ class CSRGraph:
         identical; only the *within-level* enumeration order differs, and
         every consumer orders the reached set canonically anyway.
         """
+        np = _numpy()
         indices, weights = self._indices, self._weights
         dist = np.full(self._n, INF)
         dist[src_row] = 0.0
@@ -514,6 +518,7 @@ class CSRGraph:
         src_row = self._row(source)
         if max_edges is not None and max_edges < 0:
             raise ValueError(f"max_edges must be >= 0, got {max_edges}")
+        np = _numpy()
         indices = self._indices
         seen = np.zeros(self._n, dtype=bool)
         seen[src_row] = True
@@ -566,6 +571,7 @@ class CSRGraph:
             # Ship path + version, not data: the receiving process opens the
             # file memory-mapped and shares the sender's page cache.
             return (_load_verified, (self._path, self.version))
+        np = _numpy()
         labels = None if self._labels is None else np.ascontiguousarray(self._labels)
         return (
             CSRGraph,
@@ -599,6 +605,7 @@ class CSRGraph:
 # .stgq file format
 # ----------------------------------------------------------------------
 def _compute_version(indptr, indices, weights, labels) -> str:
+    np = _numpy()
     digest = hashlib.sha256()
     digest.update(STGQ_MAGIC)
     arrays = [indptr, indices, weights] + ([labels] if labels is not None else [])
@@ -627,6 +634,7 @@ def _quantize_weights(weights):
     distance sums can surface.  An empty or all-zero array quantises with
     scale 1.0 (nothing to preserve).
     """
+    np = _numpy()
     dense = np.ascontiguousarray(weights, dtype=np.float64)
     peak = float(dense.max()) if len(dense) else 0.0
     scale = peak / _QUANT_MAX if peak > 0 else 1.0
@@ -634,6 +642,7 @@ def _quantize_weights(weights):
 
 
 def _write_stgq(graph: CSRGraph, path: PathLike, quantize: bool = False) -> str:
+    np = _numpy()
     arrays = _array_table(graph)
     extra = {}
     if quantize:
@@ -732,7 +741,7 @@ def load_stgq(path: PathLike, mmap: bool = True, verify: bool = False) -> CSRGra
         Recompute the content hash and compare it to the header's version
         (guards against torn writes; costs one pass over the file).
     """
-    _require_numpy()
+    np = _numpy()
     header = _read_header(path)
     file_bytes = os.path.getsize(path)
     arrays = {}

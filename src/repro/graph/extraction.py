@@ -15,15 +15,10 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..exceptions import VertexNotFoundError
 from ..types import Vertex
-from .csr import CSRGraph, csr_available
+from .csr import CSRGraph
 from .distance import bounded_distances
 from .social_graph import SocialGraph
 from .substrate import GraphSubstrate
-
-try:  # numpy is an optional dependency (the [speed] extra)
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
 
 __all__ = ["FeasibleGraph", "extract_feasible_graph", "extract_query_forms"]
 
@@ -163,7 +158,7 @@ def extract_query_forms(
         raise ValueError(f"radius must be >= 1, got {radius}")
     want_compiled = kernel != "reference"
 
-    if csr_available() and isinstance(graph, CSRGraph):
+    if isinstance(graph, CSRGraph):  # only exists when numpy is installed
         return _extract_query_forms_csr(graph, source, radius, want_compiled)
 
     dist = bounded_distances(graph, source, radius)
@@ -183,6 +178,8 @@ def _extract_query_forms_csr(
     graph: CSRGraph, source: Vertex, radius: int, want_compiled: bool
 ) -> Tuple[FeasibleGraph, Optional[object]]:
     """CSR fast lane: build both forms from one gather of the feasible rows."""
+    import numpy as np
+
     src_row = graph._row(source)
     order, dist_arr = graph._bounded_rows(src_row, radius)
     # Canonical feasible order is ascending vertex id; labels are sorted, so

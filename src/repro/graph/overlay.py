@@ -30,15 +30,10 @@ from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set
 
 from ..exceptions import EdgeNotFoundError, GraphError, VertexNotFoundError
 from ..types import Vertex, WeightedEdge
-from .csr import CSRGraph, csr_available
+from .csr import CSRGraph
 from .distance import _generic_bounded_distances, _generic_hop_counts
 from .social_graph import SocialGraph
 from .substrate import GraphSubstrate
-
-try:  # numpy is an optional dependency (the [speed] extra)
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
 
 __all__ = ["GraphOverlay"]
 
@@ -258,6 +253,8 @@ class GraphOverlay:
         its live adjacency, so whole clean frontiers can ride the base CSR
         arrays untouched.
         """
+        import numpy as np
+
         n = base.vertex_count
         extra_labels = list(self._extra)
         extra_index = {v: n + i for i, v in enumerate(extra_labels)}
@@ -290,7 +287,7 @@ class GraphOverlay:
         frontier walk.
         """
         base = self._base
-        if not (csr_available() and isinstance(base, CSRGraph)):
+        if not isinstance(base, CSRGraph):  # a CSRGraph means numpy is installed
             return _generic_bounded_distances(self, source, max_edges)
         if source not in self:
             raise VertexNotFoundError(source)
@@ -298,6 +295,8 @@ class GraphOverlay:
             raise ValueError(f"max_edges must be >= 1, got {max_edges}")
         if not (self._added or self._removed or self._extra):
             return base.bounded_distances(source, max_edges)
+        import numpy as np
+
         extra_labels, extra_index, dirty_rows = self._patch_state(base)
         n = base.vertex_count
         dist = np.full(n + len(extra_labels), INF)
@@ -348,7 +347,7 @@ class GraphOverlay:
     def hop_counts(self, source: Vertex, max_edges: Optional[int] = None) -> Dict[Vertex, int]:
         """BFS hop counts, vectorising the CSR base (see bounded_distances)."""
         base = self._base
-        if not (csr_available() and isinstance(base, CSRGraph)):
+        if not isinstance(base, CSRGraph):
             return _generic_hop_counts(self, source, max_edges)
         if source not in self:
             raise VertexNotFoundError(source)
@@ -356,6 +355,8 @@ class GraphOverlay:
             raise ValueError(f"max_edges must be >= 0, got {max_edges}")
         if not (self._added or self._removed or self._extra):
             return base.hop_counts(source, max_edges)
+        import numpy as np
+
         extra_labels, extra_index, dirty_rows = self._patch_state(base)
         n = base.vertex_count
         seen = np.zeros(n + len(extra_labels), dtype=bool)

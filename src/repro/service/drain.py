@@ -15,13 +15,11 @@ of it:
   then unwinds.
 * :func:`wait_for_drain` — block until an ``in_flight()`` probe reports
   zero (or a deadline passes), the generic "wait for the accepted work to
-  finish" step used by the HTTP gateway's admission controller and by
-  tests.
+  finish" step the HTTP gateway and the TCP worker take before they close
+  connections.
 
-The asyncio worker (:mod:`repro.service.net.worker`) implements the same
-contract natively — its event-loop signal handlers already only set an
-event; PR 8 added the drain *between* that event and the connection
-teardown — but shares the exit-code convention below.
+``stgq http`` and ``stgq worker`` both block on a :class:`ShutdownSignal`,
+then drain their servers with :func:`wait_for_drain`.
 
 Exit codes: a drained shutdown is a *successful* run — the launchers
 (``LocalWorkerCluster``, k8s) treat exit 0 on SIGTERM as "worker obeyed",

@@ -6,13 +6,16 @@ This package scales the service layer past one box, the step the
 * :mod:`~repro.service.net.protocol` — length-framed JSON frames, a
   versioned superset of the JSONL payloads (adds ``hello``/``ping``/
   ``stats`` control frames next to ``batch`` query frames).
-* :mod:`~repro.service.net.worker` — an asyncio TCP server wrapping one
-  local :class:`~repro.service.QueryService` (``stgq worker --listen``).
+* :mod:`~repro.service.net.worker` — a TCP server wrapping one local
+  :class:`~repro.service.QueryService` (``stgq worker --listen``); each
+  connection is served by its own thread, which answers every frame it
+  reads.
 * :mod:`~repro.service.net.remote` — :class:`RemoteBackend`, the drop-in
   executor backend that shards initiators across persistent worker
   connections (CRC32 :class:`~repro.service.ShardMap` or a
-  :class:`~repro.service.PlacementMap`), one FIFO queue per worker, and
-  degrades dead workers to per-request error results instead of failed
+  :class:`~repro.service.PlacementMap`), sends a single-shard batch on the
+  caller's thread and fans the rest out through one FIFO queue per worker,
+  and degrades dead workers to per-request error results instead of failed
   batches.  It is the only sharded dispatch path: the ``process`` backend
   is a ``RemoteBackend`` over workers it spawns on 127.0.0.1.
 * :mod:`~repro.service.net.cluster` — the local launcher, one spawn path

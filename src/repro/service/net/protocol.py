@@ -87,16 +87,14 @@ All frames are JSON objects with a ``"type"`` key:
     Sent by the worker for protocol violations (unknown frame types keep
     the connection open; framing or handshake violations close it).
 
-Both an asyncio flavour (:func:`read_frame`/:func:`write_frame`, used by
-the worker server) and a blocking-socket flavour (:func:`recv_frame`/
-:func:`send_frame`, used by the gateway's worker links and the one-shot
-:func:`exchange`) are provided so neither side has to adapt its concurrency
-model to the other.
+Both sides speak it over blocking sockets (:func:`recv_frame`/
+:func:`send_frame`): the worker serves each connection on its own thread,
+and the gateway's worker links and the one-shot :func:`exchange` are
+blocking clients.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -110,10 +108,8 @@ __all__ = [
     "PROTOCOL_VERSION",
     "client_handshake",
     "exchange",
-    "read_frame",
     "recv_frame",
     "send_frame",
-    "write_frame",
     "encode_frame",
 ]
 
@@ -150,27 +146,9 @@ def _check_length(length: int) -> None:
         raise ProtocolError(f"peer announced a {length}-byte frame (max {MAX_FRAME_BYTES})")
 
 
-# ----------------------------------------------------------------------
-# asyncio flavour (worker server side)
-# ----------------------------------------------------------------------
-async def read_frame(reader: asyncio.StreamReader) -> Dict[str, Any]:
-    """Read one frame; raises ``IncompleteReadError`` at EOF."""
-    header = await reader.readexactly(_LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    _check_length(length)
-    return _decode_body(await reader.readexactly(length))
-
-
-async def write_frame(writer: asyncio.StreamWriter, payload: Dict[str, Any]) -> None:
-    """Write one frame and drain the transport."""
-    writer.write(encode_frame(payload))
-    await writer.drain()
-
-
-# ----------------------------------------------------------------------
-# blocking-socket flavour (gateway worker-link side)
-# ----------------------------------------------------------------------
-def _recv_exactly(sock: socket.socket, n: int, deadline: Optional[float] = None) -> bytes:
+def _recv_exactly(
+    sock: socket.socket, n: int, deadline: Optional[float] = None, between_frames: bool = False
+) -> bytes:
     chunks = []
     remaining = n
     while remaining:
@@ -184,6 +162,8 @@ def _recv_exactly(sock: socket.socket, n: int, deadline: Optional[float] = None)
             sock.settimeout(left)
         chunk = sock.recv(remaining)
         if not chunk:
+            if between_frames and remaining == n:
+                raise ConnectionError("peer closed the connection")
             raise ProtocolError(f"connection closed mid-frame ({n - remaining}/{n} bytes read)")
         chunks.append(chunk)
         remaining -= len(chunk)
@@ -195,9 +175,11 @@ def recv_frame(sock: socket.socket, deadline: Optional[float] = None) -> Dict[st
 
     Honours the socket's timeout per ``recv``; pass ``deadline`` (a
     ``time.monotonic()`` instant) to additionally bound the *whole* frame,
-    raising ``socket.timeout`` once it passes.
+    raising ``socket.timeout`` once it passes.  A peer that closes the
+    connection between frames raises ``ConnectionError``; one that closes
+    it mid-frame breaks the framing and raises :class:`ProtocolError`.
     """
-    (length,) = _LENGTH.unpack(_recv_exactly(sock, _LENGTH.size, deadline))
+    (length,) = _LENGTH.unpack(_recv_exactly(sock, _LENGTH.size, deadline, between_frames=True))
     _check_length(length)
     return _decode_body(_recv_exactly(sock, length, deadline))
 

@@ -20,10 +20,12 @@ are children it spawns on 127.0.0.1 itself.
   worker's stored placement version, and a gateway seeing a newer one
   fetches the map with a ``placement_get`` frame — so ``placement_update``
   pushed at any one point reaches the whole tier without restarts.
-* **Pipelining** — one persistent connection per worker, fed by its own
-  FIFO queue; a batch is split into per-shard sub-batches that are
-  dispatched concurrently, so every worker solves its slice while the
-  others solve theirs, and a stalled worker backs up only its own shard.
+* **Dispatch** — one persistent connection per worker.  A batch is split
+  into per-shard sub-batches: the first goes out on the calling thread, so
+  a batch that routes to one worker costs no thread hand-off, and the rest
+  queue on their links' own FIFO threads, so every worker solves its slice
+  while the others solve theirs and a stalled worker backs up only its own
+  shard.
 * **Stats invariance** — each ``batch_result`` carries the stats *delta*
   the sub-batch's :class:`~repro.service.context.ExecutionContext` produced
   inside the worker; deltas are merged into the gateway batch's own context
@@ -70,6 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RemoteBackend", "parse_addresses"]
 
 Address = Tuple[str, int]
+#: One answered sub-batch: ``(results, stats_delta, cache_size, placement_version)``.
+_Outcome = Tuple[List["Result"], Dict[str, float], int, int]
 
 #: TCP connect timeout of a worker link, in seconds.
 CONNECT_TIMEOUT = 5.0
@@ -115,10 +119,12 @@ def parse_addresses(connect: Union[str, Iterable[Union[str, Address]]]) -> List[
 class _WorkerLink:
     """One persistent, lazily-(re)connected framed connection to a worker.
 
-    A lock serialises request/response pairs on the connection.  The
-    backend's fan-out goes through :meth:`submit`, one FIFO queue per link,
-    so concurrent batches to *different* workers proceed in parallel and a
-    stalled worker never holds up another shard's requests.  Connection
+    A lock serialises request/response pairs on the connection, whichever
+    thread makes them: a batch's first sub-batch runs on its caller's
+    thread, and the backend's fan-out and control frames go through
+    :meth:`submit`, one FIFO queue per link, so concurrent batches to
+    *different* workers proceed in parallel and a stalled worker never
+    holds up another shard's requests.  Connection
     failures open a fail-fast window that grows exponentially
     (``BACKOFF_BASE * 2**failures``, capped), so while a worker is down its
     shard's requests error out immediately instead of each paying a connect
@@ -331,9 +337,7 @@ class RemoteBackend:
         ]
         self.addresses = addresses
 
-    def _request_shard(
-        self, link: _WorkerLink, queries: Sequence["Query"]
-    ) -> Tuple[List["Result"], Dict[str, float], int, int]:
+    def _request_shard(self, link: _WorkerLink, queries: Sequence["Query"]) -> _Outcome:
         """Round-trip one shard's sub-batch.
 
         Returns ``(results, delta, cache_size, advertised_placement_version)``
@@ -390,6 +394,41 @@ class RemoteBackend:
             advert = 0
         return results, delta, cache_size, advert
 
+    def _round_trips(
+        self, parts: Dict[int, List[Tuple[int, "Query"]]]
+    ) -> Tuple[Dict[int, _Outcome], Dict[int, str]]:
+        """Round-trip each shard's sub-batch; returns ``(outcomes, failures)``.
+
+        ``parts`` maps a shard to its ``(index, query)`` entries.  The first
+        sub-batch goes out on the calling thread and the rest on their
+        links' FIFO threads, so a batch that routes to one shard costs no
+        thread hand-off while a fan-out still overlaps every worker it
+        reaches.  A failure is the shard's error message.
+        """
+        links = self._links
+        subbatches = {shard: [query for _, query in entries] for shard, entries in parts.items()}
+        shards = list(subbatches)
+        futures = {
+            shard: links[shard].submit(self._request_shard, subbatches[shard])
+            for shard in shards[1:]
+        }
+        outcomes: Dict[int, _Outcome] = {}
+        failures: Dict[int, str] = {}
+        for shard in shards:
+            try:
+                if shard in futures:
+                    outcomes[shard] = futures[shard].result()
+                else:
+                    outcomes[shard] = self._request_shard(links[shard], subbatches[shard])
+            except WorkerUnavailableError as exc:
+                failures[shard] = str(exc)
+            except ProtocolError as exc:
+                # Client-side encoding failure (e.g. a sub-batch too large
+                # for one frame): degrade this shard's requests without
+                # having touched — or penalised — the worker connection.
+                failures[shard] = f"sub-batch could not be encoded: {exc}"
+        return outcomes, failures
+
     def solve_batch(
         self,
         service: "QueryService",
@@ -401,27 +440,11 @@ class RemoteBackend:
         # so the in-flight batch stays correct under the old map).
         router = self._router
         parts = router.partition(queries)
-        links = self._links
-        futures = {
-            shard: links[shard].submit(self._request_shard, [query for _, query in entries])
-            for shard, entries in parts.items()
-        }
         # Collect every shard before merging any stats into the batch
         # context, so the aggregate view stays all-or-nothing per shard: a
         # sub-batch either lands fully (results + its delta) or degrades
         # fully to error results.
-        outcomes: Dict[int, Tuple[List["Result"], Dict[str, float], int, int]] = {}
-        failures: Dict[int, str] = {}
-        for shard, future in futures.items():
-            try:
-                outcomes[shard] = future.result()
-            except WorkerUnavailableError as exc:
-                failures[shard] = str(exc)
-            except ProtocolError as exc:
-                # Client-side encoding failure (e.g. a sub-batch too large
-                # for one frame): degrade this shard's requests without
-                # having touched — or penalised — the worker connection.
-                failures[shard] = f"sub-batch could not be encoded: {exc}"
+        outcomes, failures = self._round_trips(parts)
         # Replica failover round: a failed shard's *replicated* initiators
         # have other workers that can answer them (every worker holds the
         # full graph), so re-dispatch those entries to a surviving replica
@@ -442,18 +465,10 @@ class RemoteBackend:
                     retry_parts.setdefault(survivors[0], []).append((index, query))
                 else:
                     unrecovered[index] = failures[shard]
-        retry_outcomes: Dict[int, Tuple[List["Result"], Dict[str, float], int, int]] = {}
-        if retry_parts:
-            retry_futures = {
-                target: links[target].submit(self._request_shard, [query for _, query in entries])
-                for target, entries in retry_parts.items()
-            }
-            for target, future in retry_futures.items():
-                try:
-                    retry_outcomes[target] = future.result()
-                except (WorkerUnavailableError, ProtocolError) as exc:
-                    for index, _ in retry_parts[target]:
-                        unrecovered[index] = f"failover to replica failed: {exc}"
+        retry_outcomes, retry_failures = self._round_trips(retry_parts)
+        for target, message in retry_failures.items():
+            for index, _ in retry_parts[target]:
+                unrecovered[index] = f"failover to replica failed: {message}"
         results: List[Optional["Result"]] = [None] * len(queries)
         cache_updates: Dict[int, int] = {}
         advertised = 0
@@ -502,8 +517,8 @@ class RemoteBackend:
     def _maybe_adopt(
         self,
         advertised: int,
-        outcomes: Dict[int, Tuple[List["Result"], Dict[str, float], int, int]],
-        retry_outcomes: Dict[int, Tuple[List["Result"], Dict[str, float], int, int]],
+        outcomes: Dict[int, _Outcome],
+        retry_outcomes: Dict[int, _Outcome],
     ) -> None:
         """Fetch and adopt a newer placement map advertised by a worker.
 

@@ -1,24 +1,25 @@
-"""Asyncio TCP worker: one :class:`~repro.service.QueryService` behind a socket.
+"""Threaded TCP worker: one :class:`~repro.service.QueryService` behind a socket.
 
 ``stgq worker --listen HOST:PORT`` builds a dataset-backed service and runs
 :func:`run_worker`; a gateway's :class:`~repro.service.net.RemoteBackend`
 connects, handshakes and streams ``batch`` frames at it (see
 :mod:`repro.service.net.protocol` for the wire format).
 
-Batch frames are answered through
-:meth:`~repro.service.QueryService.answer_async`, the request pipeline every
+Each accepted connection is served by its own thread over a blocking
+socket, like the HTTP gateway's ``ThreadingHTTPServer``: the thread that
+read a frame answers it and writes the reply.  So frames on one connection
+are answered in order, connections run concurrently, and a query crosses
+no thread hand-off inside the worker.  Batch frames are answered through
+:meth:`~repro.service.QueryService.answer`, the request pipeline every
 front door shares: one full-fidelity result or ``{"error": ...}`` entry per
 request, *plus* the stats *delta* that batch produced.  A rejected request or
 an ``ErrorResult`` from the worker's own backend fails its entry alone.
 Each batch runs under its own
 :class:`~repro.service.context.ExecutionContext`, so the delta is exact by
 construction — no lock, no before/after snapshot of the service totals —
-and the worker interleaves batch frames from any number of gateway
-connections: while one connection's batch solves on the service's executor,
-the event loop keeps reading other connections, solving *their* batches,
-and answering control frames.  A batch frame may set ``"stats": true`` to
-additionally receive the batch's merged kernel statistics
-(``SearchStats``), straight from the solvers that recorded them.
+however many connections' batches solve at once.  A batch frame may set
+``"stats": true`` to additionally receive the batch's merged kernel
+statistics (``SearchStats``), straight from the solvers that recorded them.
 
 Live-graph replication (``docs/live_graph.md``) rides on the same
 connection: ``delta`` frames apply versioned mutation batches — idempotent
@@ -39,20 +40,24 @@ versioned distribution point for the fleet's routing decision.
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import os
 import pickle
 import signal
+import socket
+import socketserver
 import sys
 import threading
-from typing import TYPE_CHECKING, Any, Dict, Optional, TextIO, Tuple
+import time
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, TextIO, Tuple
 
 from ...exceptions import ProtocolError, QueryError, ReproError
 from ...graph.mutations import MutationBatch
 from ..codec import ErrorResult, encode_result, wants_stats
 from ..context import ExecutionContext
+from ..drain import ShutdownSignal, wait_for_drain
 from ..placement import PlacementMap
-from .protocol import PROTOCOL_VERSION, read_frame, write_frame
+from .protocol import PROTOCOL_VERSION, recv_frame, send_frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..query_service import QueryService
@@ -64,13 +69,32 @@ __all__ = ["WorkerServer", "run_spawned_worker", "run_worker", "READY_MARKER"]
 READY_MARKER = "STGQ-WORKER-READY"
 
 
+class _ThreadPerConnection(socketserver.ThreadingTCPServer):
+    """Accept loop that serves every connection on its own daemon thread."""
+
+    daemon_threads = True
+    # WorkerServer.close joins the connection threads itself, bounded.
+    block_on_close = False
+    allow_reuse_address = True
+    # The listen backlog asyncio.start_server gave the worker (socketserver's is 5).
+    request_queue_size = 100
+
+    def __init__(self, address: Tuple[str, int], serve: Callable[[socket.socket], None]) -> None:
+        super().__init__(address, socketserver.BaseRequestHandler)
+        self._serve = serve
+
+    def finish_request(self, request: Any, client_address: Any) -> None:
+        self._serve(request)
+
+
 class WorkerServer:
     """Serve one local :class:`QueryService` over the framed TCP protocol.
 
-    The server binds lazily in :meth:`start` (``port=0`` picks an ephemeral
-    port; the bound address is available afterwards via ``host``/``port``).
-    It does not own the service's lifecycle — callers close both, typically
-    via :func:`run_worker`.
+    :meth:`start` binds (``port=0`` picks an ephemeral port; the bound
+    address is available afterwards via ``host``/``port``) and accepts on a
+    background thread; :meth:`close` drains and stops.  It does not own the
+    service's lifecycle — callers close both, typically via
+    :func:`run_worker`.
     """
 
     def __init__(
@@ -91,15 +115,15 @@ class WorkerServer:
             placement.as_wire() if placement is not None else None
         )
         self._placement_version: int = placement.version if placement is not None else 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        # Each open connection's writer and the task that handles it.
-        self._clients: Dict[asyncio.StreamWriter, asyncio.Task] = {}
-        # In-flight frame accounting for the SIGTERM drain: a frame counts
-        # from the moment it is fully read until its reply is written, and
-        # aclose() waits for the count to hit zero before closing sockets.
+        self._server: Optional[_ThreadPerConnection] = None
+        # Guards the stored placement map, the open connections (each with
+        # the thread serving it), the in-flight frame count and the drain
+        # flag.  A frame counts in flight from the moment it is read until
+        # its reply is written; close() waits for the count to reach zero
+        # before it closes sockets.
+        self._lock = threading.Lock()
+        self._connections: Dict[socket.socket, threading.Thread] = {}
         self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._draining = False
 
     @property
@@ -107,96 +131,104 @@ class WorkerServer:
         """The ``host:port`` string clients connect to (valid after start)."""
         return f"{self.host}:{self.port}"
 
-    async def start(self) -> None:
-        """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(self._handle_client, self.host, self.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+    def start(self) -> "WorkerServer":
+        """Bind, then accept connections on a background thread.
 
-    async def serve_forever(self) -> None:
-        """Block serving connections until cancelled or :meth:`aclose`."""
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
+        The accept loop keeps socketserver's half-second poll, so an idle
+        worker wakes twice a second; :meth:`close` wakes it at once by
+        shutting the listener down.
+        """
+        self._server = _ThreadPerConnection((self.host, self.port), self._serve_connection)
+        self.host, self.port = self._server.server_address[:2]
+        threading.Thread(
+            target=self._server.serve_forever,
+            name=f"stgq-worker-{self.port}",
+            daemon=True,
+        ).start()
+        return self
 
-    async def aclose(self, drain_timeout: float = 30.0) -> None:
+    def in_flight(self) -> int:
+        """Frames read but not yet answered (the drain polls it to zero)."""
+        with self._lock:
+            return self._inflight
+
+    def close(self, drain_timeout: float = 30.0) -> bool:
         """Stop accepting, drain in-flight frames, close connections.
 
         The drained-shutdown contract (shared with ``stgq serve --jsonl``
         and the HTTP gateway, see :mod:`repro.service.drain`): every frame
-        that was fully read gets its reply written before the connection
-        is torn down — a mid-batch SIGTERM no longer drops responses whose
-        requests the worker already accepted.  ``drain_timeout`` bounds
-        the wait; a batch still running when it expires is abandoned with
-        the close (the orchestrator's SIGKILL escalation territory).  Idle
-        connections are closed too, and their handlers (waited for, again
-        for at most ``drain_timeout``) end as hang-ups before
-        ``wait_closed()``, which since Python 3.12 waits for every open
-        connection.  Idempotent.
+        read before the close began gets its reply written before its
+        connection is torn down — a mid-batch SIGTERM drops no response
+        whose request the worker accepted.  A frame read after that is
+        not accepted: its connection closes unanswered.  ``drain_timeout``
+        bounds the drain, and then the wait for the connection threads; a
+        batch still running when it expires is abandoned with the close
+        (the orchestrator's SIGKILL escalation territory).  Idle
+        connections are closed too.  Returns whether the drain finished;
+        a second call is a no-op.
         """
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-        self._draining = True
-        if self._inflight:
-            try:
-                await asyncio.wait_for(self._idle.wait(), drain_timeout)
-            except asyncio.TimeoutError:  # pragma: no cover - pathological batch
-                print(
-                    f"worker drain timed out with {self._inflight} frames in flight",
-                    file=sys.stderr,
-                )
-        handlers = list(self._clients.values())
-        for writer in list(self._clients):
-            writer.close()
-        if handlers:
-            await asyncio.wait(handlers, timeout=drain_timeout)
-        if server is not None:
-            await server.wait_closed()
+        with self._lock:
+            server, self._server = self._server, None
+            self._draining = True
+        if server is None:
+            return True
+        # Shutting the listener down wakes the accept loop at once instead
+        # of at its next poll (Linux; elsewhere the poll still ends it).
+        with contextlib.suppress(OSError):
+            server.socket.shutdown(socket.SHUT_RDWR)
+        server.shutdown()
+        drained = wait_for_drain(self.in_flight, drain_timeout)
+        with self._lock:
+            connections = dict(self._connections)
+        for connection in connections:
+            # Ends the read an idle connection's thread is parked in.
+            with contextlib.suppress(OSError):
+                connection.shutdown(socket.SHUT_RDWR)
+        deadline = time.monotonic() + drain_timeout
+        for thread in connections.values():
+            thread.join(max(0.0, deadline - time.monotonic()))
+        server.server_close()
+        return drained
 
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._clients[writer] = asyncio.current_task()
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """Answer one connection's frames in order until it closes."""
+        with self._lock:
+            if self._draining:
+                return
+            self._connections[sock] = threading.current_thread()
         try:
-            while not self._draining:
+            # Every reply is one send: let it leave at once.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while True:
                 try:
-                    frame = await read_frame(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break  # client hung up
+                    frame = recv_frame(sock)
                 except ProtocolError as exc:
                     # Framing is broken: answer once, then drop the peer —
                     # the byte stream can no longer be trusted.
-                    await write_frame(writer, {"type": "error", "error": str(exc)})
+                    send_frame(sock, {"type": "error", "error": str(exc)})
                     break
-                # From here the frame is "accepted": count it in-flight
-                # (synchronously — no await between the read completing and
-                # this increment, so aclose() can never observe the gap) so
-                # a drain waits for its reply to be written.
-                self._inflight += 1
-                self._idle.clear()
+                with self._lock:
+                    if self._draining:
+                        break
+                    self._inflight += 1
                 try:
-                    reply, keep_open = await self._dispatch(frame)
-                    await write_frame(writer, reply)
+                    reply, keep_open = self._dispatch(frame)
+                    send_frame(sock, reply)
                 finally:
-                    self._inflight -= 1
-                    if self._inflight == 0:
-                        self._idle.set()
+                    with self._lock:
+                        self._inflight -= 1
                 if not keep_open:
                     break
-        except (ConnectionError, ProtocolError):  # peer died mid-write
+        except OSError:  # the peer hung up, or close() shut the socket down
             pass
         finally:
-            self._clients.pop(writer, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
+            with self._lock:
+                self._connections.pop(sock, None)
 
-    async def _dispatch(self, frame: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
+    def _dispatch(self, frame: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
         """Answer one frame; returns (reply, keep_connection_open)."""
         ftype = frame.get("type")
         if ftype == "hello":
@@ -239,25 +271,21 @@ class WorkerServer:
         if ftype == "cache_clear":
             # Gateway-initiated invalidation (QueryService.clear_cache on a
             # remote backend): drop every cached ego network, including any
-            # held by this worker's own executor backend.  Runs off-loop —
-            # a process-backend clear stops its children, and the event
-            # loop must keep serving other connections' frames meanwhile.
-            # A failed clear is answered in-band so the gateway can report
-            # the incomplete invalidation.
+            # held by this worker's own executor backend.  A failed clear is
+            # answered in-band so the gateway can report the incomplete
+            # invalidation.
             #
             # When the gateway's graph is substrate-backed, the frame also
             # carries ``graph_path``/``graph_version``: the worker re-opens
             # that ``.stgq`` file (mmap'd, version-checked) before clearing,
             # making the clear a true "the graph changed" invalidation.
-            loop = asyncio.get_running_loop()
             graph_path = frame.get("graph_path")
-            graph_version = frame.get("graph_version")
             try:
                 if graph_path is not None:
-                    self.service.graph = await loop.run_in_executor(
-                        None, self._open_substrate, graph_path, graph_version
+                    self.service.graph = self._open_substrate(
+                        graph_path, frame.get("graph_version")
                     )
-                await loop.run_in_executor(None, self.service.clear_cache)
+                self.service.clear_cache()
             except Exception as exc:
                 reply = {
                     "type": "error",
@@ -271,16 +299,10 @@ class WorkerServer:
             # mutation batch.  apply_delta's version handshake makes the
             # frame idempotent (a retried delta is a "noop") and turns any
             # out-of-order delivery into an explicit "gap" the gateway
-            # answers with a log replay or a snapshot.  Runs off-loop: the
-            # service takes its mutation lock and may forward the delta to
-            # its own process-backend children, and other connections'
-            # batches must keep flowing meanwhile.
-            loop = asyncio.get_running_loop()
+            # answers with a log replay or a snapshot.
             try:
                 batch = MutationBatch.from_wire(frame.get("batch"))
-                status, invalidated = await loop.run_in_executor(
-                    None, self.service.apply_delta, batch
-                )
+                status, invalidated = self.service.apply_delta(batch)
             except (ProtocolError, ReproError) as exc:
                 reply = {
                     "type": "error",
@@ -302,7 +324,6 @@ class WorkerServer:
             # reference (``graph_path``/``graph_version`` name a ``.stgq``
             # substrate this worker re-opens — the PR 6 reload path — with
             # the payload carrying only version/availability).
-            loop = asyncio.get_running_loop()
             payload = frame.get("payload")
             if not isinstance(payload, dict):
                 reply = {
@@ -313,9 +334,7 @@ class WorkerServer:
                 return reply, True
             graph_path = frame.get("graph_path")
             try:
-                dropped = await loop.run_in_executor(
-                    None, self._apply_snapshot, payload, graph_path, frame.get("graph_version")
-                )
+                dropped = self._apply_snapshot(payload, graph_path, frame.get("graph_version"))
             except (ProtocolError, ReproError) as exc:
                 reply = {
                     "type": "error",
@@ -346,25 +365,29 @@ class WorkerServer:
                     "id": frame.get("id"),
                 }
                 return reply, True
-            if placement.version > self._placement_version:
-                self._placement_wire = placement.as_wire()
-                self._placement_version = placement.version
-                status = "applied"
-            else:
-                status = "noop"
+            with self._lock:
+                if placement.version > self._placement_version:
+                    self._placement_wire = placement.as_wire()
+                    self._placement_version = placement.version
+                    status = "applied"
+                else:
+                    status = "noop"
+                version = self._placement_version
             reply = {
                 "type": "placement_applied",
                 "id": frame.get("id"),
                 "status": status,
-                "version": self._placement_version,
+                "version": version,
             }
             return reply, True
         if ftype == "placement_get":
+            with self._lock:
+                version, wire = self._placement_version, self._placement_wire
             reply = {
                 "type": "placement",
                 "id": frame.get("id"),
-                "version": self._placement_version,
-                "map": self._placement_wire,
+                "version": version,
+                "map": wire,
             }
             return reply, True
         if ftype == "stats":
@@ -381,17 +404,17 @@ class WorkerServer:
                 reply["routing"] = routing
             return reply, True
         if ftype == "batch":
-            return await self._handle_batch(frame), True
+            return self._handle_batch(frame), True
         reply = {"type": "error", "error": f"unknown frame type {ftype!r}", "id": frame.get("id")}
         return reply, True
 
     @staticmethod
     def _open_substrate(path: Any, version: Any):
-        """Open the ``.stgq`` substrate a frame names, memory-mapped (blocking).
+        """Open the ``.stgq`` substrate a frame names, memory-mapped.
 
         The version check catches a file that changed (or differs across
         nodes) underneath the fleet.  Both frames that name a substrate
-        (``cache_clear`` and ``snapshot``) open it here, on the executor.
+        (``cache_clear`` and ``snapshot``) open it here.
         """
         from ...graph.csr import load_stgq
 
@@ -403,7 +426,7 @@ class WorkerServer:
         return graph
 
     def _apply_snapshot(self, payload: Dict[str, Any], graph_path: Any, graph_version: Any) -> int:
-        """Apply a snapshot frame's state swap (blocking; runs on the executor).
+        """Apply a snapshot frame's state swap.
 
         The reference form hands the re-opened substrate to
         :meth:`QueryService.apply_snapshot` in place of inline topology, so
@@ -414,7 +437,7 @@ class WorkerServer:
             graph = self._open_substrate(graph_path, graph_version)
         return self.service.apply_snapshot(payload, graph=graph)
 
-    async def _handle_batch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_batch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         requests = frame.get("requests")
         if not isinstance(requests, list):
             return {
@@ -424,10 +447,9 @@ class WorkerServer:
             }
         # Each batch gets a private ExecutionContext, so its stats delta is
         # exact whatever else the worker is doing: batches from any number
-        # of gateway connections interleave freely on the service's
-        # executor.
+        # of gateway connections solve at once on their own threads.
         context = ExecutionContext()
-        outcomes = await self.service.answer_async(requests, context)
+        outcomes = self.service.answer(requests, context)
         # A batch that answered no request ships an empty delta and no
         # stats: nothing was solved, or the solve failed and merged nothing
         # worker-side, so the gateway, whose callers only see ErrorResults,
@@ -463,42 +485,31 @@ def run_worker(
 
     Once listening, writes ``STGQ-WORKER-READY <host> <port>`` to
     ``announce`` (the cluster launcher reads this off the subprocess's
-    stdout to learn the ephemeral port).  Signals stop the loop cleanly
-    *and drained*: ``aclose`` finishes every in-flight frame's reply
-    before connections close (a mid-batch SIGTERM drops nothing), then
-    the caller closes the service (``stgq worker`` holds it in a ``with``
-    block), so no forkserver workers leak on Ctrl-C.  Exit code stays 0
-    on a signalled, drained shutdown — the contract launchers assert.
+    stdout to learn the ephemeral port).  Signals stop the server cleanly
+    *and drained*, through the :class:`~repro.service.drain.ShutdownSignal`
+    the HTTP gateway uses too: :meth:`WorkerServer.close` finishes every
+    in-flight frame's reply before connections close (a mid-batch SIGTERM
+    drops nothing), then the caller closes the service (``stgq worker``
+    holds it in a ``with`` block), so no forkserver workers leak on Ctrl-C.
+    Exit code stays 0 on a signalled, drained shutdown — the contract
+    launchers assert.
     """
-
-    async def _run() -> None:
-        server = WorkerServer(service, host, port, placement=placement)
-        await server.start()
+    server = WorkerServer(service, host, port, placement=placement)
+    shutdown = ShutdownSignal().install()
+    try:
+        server.start()
         if announce is not None:
             announce.write(f"{READY_MARKER} {server.host} {server.port}\n")
             announce.flush()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        installed = []
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover - Windows
-                pass
-        try:
-            await stop.wait()
-        finally:
-            for signum in installed:
-                loop.remove_signal_handler(signum)
-            await server.aclose()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - signal handler not installable
-        print("worker interrupted; shutting down", file=sys.stderr)
-        return 130
-    return 0
+        shutdown.wait()
+    finally:
+        shutdown.uninstall()
+        if not server.close():  # pragma: no cover - pathological batch
+            print(
+                f"worker drain timed out with {server.in_flight()} frames in flight",
+                file=sys.stderr,
+            )
+    return shutdown.exit_code()
 
 
 def run_spawned_worker() -> int:

@@ -723,9 +723,9 @@ class QueryService:
     ) -> List[Union[Result, ErrorResult]]:
         """Awaitable :meth:`answer`, run on the event loop's default executor.
 
-        An asyncio front end (the ``stgq serve --jsonl`` loop, the TCP
-        worker) overlaps reading and writing one batch with answering the
-        next.  With the ``process`` backend the solving happens in the child
+        The ``stgq serve --jsonl`` loop, an asyncio front end, overlaps
+        reading and writing one batch with answering the next.  With the
+        ``process`` backend the solving happens in the child
         processes, outside this interpreter's GIL, so several in-flight
         batches run in parallel.  Give each in-flight batch its own
         ``context`` so their deltas never smear.

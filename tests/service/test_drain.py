@@ -3,12 +3,11 @@
 One contract, three servers: **stop accepting, answer what you accepted,
 exit 0.**  This module covers the shared primitives
 (:class:`ShutdownSignal`, :func:`wait_for_drain`), the JSONL loop (lines
-already pulled off stdin get answers before exit) and the asyncio worker
-(an in-flight batch frame's reply is written before connections close).
+already pulled off stdin get answers before exit) and the TCP worker (an
+in-flight batch frame's reply is written before connections close).
 The HTTP gateway's drain is covered in ``test_http.py``.
 """
 
-import asyncio
 import io
 import json
 import os
@@ -165,32 +164,31 @@ class TestJsonlDrain:
 
 
 # ----------------------------------------------------------------------
-# asyncio worker
+# TCP worker
 # ----------------------------------------------------------------------
-class _SlowAsyncService:
-    """Wraps a QueryService; answer_async blocks until released."""
+class _SlowService:
+    """Wraps a QueryService; answer blocks until released."""
 
     def __init__(self, service):
         self._service = service
         self.entered = threading.Event()
-        self.release = asyncio.Event()  # bound to the worker's loop via harness
+        self.release = threading.Event()
 
     def __getattr__(self, name):
         return getattr(self._service, name)
 
-    async def answer_async(self, payloads, context=None):
+    def answer(self, payloads, context=None):
         self.entered.set()
-        await self.release.wait()
-        return await self._service.answer_async(payloads, context)
+        assert self.release.wait(10), "test never released the batch"
+        return self._service.answer(payloads, context)
 
 
 class TestWorkerDrain:
-    def test_aclose_waits_for_in_flight_batch_and_answers_it(self, dataset):
+    def test_close_waits_for_in_flight_batch_and_answers_it(self, dataset):
         harness = WorkerHarness(dataset)
-        slow = _SlowAsyncService(harness.service)
+        slow = _SlowService(harness.service)
         harness.server.service = slow
-        harness._thread.start()
-        assert harness._started.wait(10)
+        harness.start()
         sock = _client_socket(harness.address, timeout=15.0)
         try:
             query = SGQuery(initiator=0, group_size=3, radius=2, acquaintance=1)
@@ -198,30 +196,27 @@ class TestWorkerDrain:
                 sock, {"type": "batch", "id": 1, "requests": [request_for(query)]}
             )
             assert slow.entered.wait(10), "batch never reached the service"
-            closing = asyncio.run_coroutine_threadsafe(
-                harness.server.aclose(), harness.loop
-            )
+            closing = threading.Thread(target=harness.server.close)
+            closing.start()
             time.sleep(0.2)
-            assert not closing.done(), "aclose returned with a frame in flight"
-            harness.loop.call_soon_threadsafe(slow.release.set)
-            closing.result(10)
+            assert closing.is_alive(), "close returned with a frame in flight"
+            slow.release.set()
+            closing.join(10)
+            assert not closing.is_alive()
             # The accepted frame was answered before the connection closed.
             reply = recv_frame(sock)
             assert reply["type"] == "batch_result"
             assert reply["id"] == 1
             assert "error" not in reply["results"][0]
         finally:
+            slow.release.set()
             sock.close()
-            harness.loop.call_soon_threadsafe(harness.loop.stop)
-            harness._thread.join(10)
-            harness.service.close()
+            harness.stop()
 
-    def test_aclose_idempotent_when_idle(self, dataset):
+    def test_close_idempotent_when_idle(self, dataset):
         harness = WorkerHarness(dataset).start()
         try:
-            asyncio.run_coroutine_threadsafe(harness.server.aclose(), harness.loop).result(10)
-            asyncio.run_coroutine_threadsafe(harness.server.aclose(), harness.loop).result(10)
+            assert harness.server.close()
+            assert harness.server.close()
         finally:
-            harness.loop.call_soon_threadsafe(harness.loop.stop)
-            harness._thread.join(10)
-            harness.service.close()
+            harness.stop()

@@ -15,6 +15,8 @@ over ``urllib`` and the blocking ``run_gateway`` entry point.
 """
 
 import json
+import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -530,6 +532,28 @@ def _http(url, payload=None, headers=None, method=None):
 
 
 class TestSocketTier:
+    def test_client_gone_before_its_response_is_contained(self, dataset):
+        # A client that resets the connection while its query solves costs
+        # its own response only: no handler error, and the gateway serves on.
+        graph, calendars = dataset
+        gate, entered = threading.Event(), threading.Event()
+        handler_errors = []
+        with QueryService(graph, calendars) as svc:
+            gateway = HTTPGateway(_SlowService(svc, gate, entered))
+            gateway._server.handle_error = lambda request, address: handler_errors.append(address)
+            with gateway:
+                body = json.dumps(SG_PAYLOAD).encode()
+                head = f"POST /v1/queries HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+                client = socket.create_connection((gateway.host, gateway.port), timeout=10)
+                client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                client.sendall(head.encode() + body)
+                assert entered.wait(10)
+                client.close()  # linger 0: the peer sees a reset
+                gate.set()
+                status, health = _http(f"{gateway.url}/health")
+                assert status == 200 and health["status"] == "ok"
+        assert handler_errors == []
+
     def test_end_to_end_single_query(self, dataset):
         graph, calendars = dataset
         with QueryService(graph, calendars) as svc:

@@ -346,10 +346,8 @@ class TestRemoteDistribution:
         yield gateway, workers
         gateway.close()
         for worker in workers:
-            if not worker._thread.is_alive():
-                continue  # a test already stopped this worker
             try:
-                worker.stop()
+                worker.stop()  # a no-op for a worker the test already stopped
             except Exception:
                 pass
 

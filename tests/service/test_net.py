@@ -8,7 +8,6 @@ test: requests routed to a dead worker degrade to per-request error
 results, and the shard recovers once the worker is back.
 """
 
-import asyncio
 import math
 import os
 import signal
@@ -35,6 +34,7 @@ from repro.service import (
     RemoteBackend,
     build_placement,
     make_backend,
+    wait_for_drain,
 )
 from repro.service.codec import (
     decode_result,
@@ -43,7 +43,7 @@ from repro.service.codec import (
     request_for,
     response_for,
 )
-from repro.service.net import WorkerServer, parse_addresses, remote
+from repro.service.net import WorkerServer, parse_addresses, remote, worker
 from repro.service.net.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -72,28 +72,17 @@ def set_link_constants(monkeypatch, connect_timeout, backoff_base=0.01, backoff_
 
 
 # ----------------------------------------------------------------------
-# in-process worker harness (one asyncio loop per worker, on a thread)
+# in-process worker harness (the server accepts on its own thread)
 # ----------------------------------------------------------------------
 class WorkerHarness:
-    """A real WorkerServer + QueryService running on a background thread."""
+    """A real WorkerServer + QueryService serving from background threads."""
 
     def __init__(self, dataset, port: int = 0, backend: str = "serial", placement=None) -> None:
         self.service = QueryService(dataset.graph, dataset.calendars, backend=backend)
-        self.loop = asyncio.new_event_loop()
         self.server = WorkerServer(self.service, "127.0.0.1", port, placement=placement)
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.server.start())
-        self._started.set()
-        self.loop.run_forever()
-        self.loop.close()
 
     def start(self) -> "WorkerHarness":
-        self._thread.start()
-        assert self._started.wait(10), "worker server failed to start"
+        self.server.start()
         return self
 
     @property
@@ -105,9 +94,7 @@ class WorkerHarness:
         return self.server.port
 
     def stop(self) -> None:
-        asyncio.run_coroutine_threadsafe(self.server.aclose(), self.loop).result(10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(10)
+        self.server.close(drain_timeout=10)
         self.service.close()
 
 
@@ -146,6 +133,15 @@ class TestFraming:
             assert "byte" in reply["error"]
         finally:
             sock.close()
+
+    def test_close_between_frames_is_a_hang_up_and_mid_frame_breaks_framing(self):
+        for sent, error in ((b"", ConnectionError), (struct.pack(">I", 10) + b"{}", ProtocolError)):
+            reader, writer = socket.socketpair()
+            with reader:
+                writer.sendall(sent)
+                writer.close()
+                with pytest.raises(error):
+                    recv_frame(reader)
 
     def test_non_object_frame_rejected(self, worker_pair):
         sock = _client_socket(worker_pair[0].address)
@@ -471,6 +467,111 @@ class TestRemoteEquivalence:
             assert len(snapshots) == 2
             assert all(s is not None and s["type"] == "stats" for s in snapshots)
             assert sum(s["stats"]["queries"] for s in snapshots) == len(batch)
+
+
+# ----------------------------------------------------------------------
+# which threads carry a batch (structural, not timing)
+# ----------------------------------------------------------------------
+def _link_threads():
+    return {thread for thread in threading.enumerate() if thread.name.startswith("stgq-shard")}
+
+
+class TestDispatchThreads:
+    def test_single_shard_batch_goes_out_on_the_callers_thread(self, worker_pair, dataset):
+        query = SGQuery(initiator=dataset.people[0], group_size=3, radius=1, acquaintance=1)
+        before = _link_threads()
+        backend = RemoteBackend([w.address for w in worker_pair])
+        with QueryService(dataset.graph, dataset.calendars, backend=backend) as service:
+            result = service.solve_many([query])[0]
+            assert not isinstance(result, ErrorResult)
+            assert _link_threads() == before, "a one-shard batch was handed to a link thread"
+
+    def test_multi_shard_batch_still_fans_out(self, worker_pair, dataset):
+        owners = {stable_shard(person, 2): person for person in dataset.people}
+        batch = [
+            SGQuery(initiator=owners[shard], group_size=3, radius=1, acquaintance=1)
+            for shard in (0, 1)
+        ]
+        before = _link_threads()
+        backend = RemoteBackend([w.address for w in worker_pair])
+        with QueryService(dataset.graph, dataset.calendars, backend=backend) as service:
+            results = service.solve_many(batch)
+            assert not any(isinstance(result, ErrorResult) for result in results)
+            assert len(_link_threads() - before) == 1, "one sub-batch runs on the caller"
+
+    def test_worker_solves_on_the_thread_that_read_the_frame(
+        self, worker_pair, dataset, monkeypatch
+    ):
+        harness = worker_pair[0]
+        readers, solvers = [], []
+        read = worker.recv_frame
+
+        def recording_read(sock, *args, **kwargs):
+            frame = read(sock, *args, **kwargs)
+            readers.append(threading.get_ident())
+            return frame
+
+        original = harness.service.solve_many
+
+        def recording_solve_many(queries, context=None):
+            solvers.append(threading.get_ident())
+            return original(queries, context)
+
+        monkeypatch.setattr(worker, "recv_frame", recording_read)
+        monkeypatch.setattr(harness.service, "solve_many", recording_solve_many)
+        query = SGQuery(initiator=dataset.people[0], group_size=3, radius=1, acquaintance=1)
+        sock = _client_socket(harness.address)
+        try:
+            send_frame(sock, {"type": "hello", "v": PROTOCOL_VERSION})
+            recv_frame(sock)
+            send_frame(sock, {"type": "batch", "id": 1, "requests": [request_for(query)]})
+            reply = recv_frame(sock)
+        finally:
+            sock.close()
+        assert reply["type"] == "batch_result"
+        assert len(solvers) == 1
+        assert solvers[0] == readers[-1]
+
+
+class TestWorkerConnectionThreads:
+    def test_many_connections_at_once_keep_exact_counts(self, dataset):
+        # More client connections than cores, each a worker thread, with
+        # thread switches forced often: a lost update to the worker's
+        # in-flight count would stall the drain, and one to the service
+        # totals would miscount the queries.
+        clients, frames = 6, 20
+        query = SGQuery(initiator=dataset.people[0], group_size=3, radius=1, acquaintance=1)
+        frame = {"type": "batch", "id": 0, "requests": [request_for(query)]}
+        harness = WorkerHarness(dataset).start()
+        failures = []
+
+        def client():
+            try:
+                with _client_socket(harness.address, timeout=30.0) as sock:
+                    for _ in range(frames):
+                        send_frame(sock, frame)
+                        assert recv_frame(sock)["type"] == "batch_result"
+            except Exception as exc:  # pragma: no cover - failure reporting
+                failures.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        try:
+            assert failures == []
+            assert wait_for_drain(harness.server.in_flight, timeout=5)
+            assert harness.service.stats().queries == clients * frames
+            assert harness.server.close(drain_timeout=5)
+        finally:
+            harness.stop()
 
 
 # ----------------------------------------------------------------------

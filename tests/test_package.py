@@ -144,3 +144,15 @@ class TestMainModule:
         )
         assert completed.returncode == 0
         assert "Social-Temporal Group Query" in completed.stdout
+
+    def test_cli_import_loads_neither_numpy_nor_scipy(self):
+        # A worker or gateway serving a dict graph never calls numpy or
+        # scipy, so importing the CLI must not load them: both load on
+        # first use.
+        import subprocess
+        import sys
+
+        probe = "import sys, repro.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        completed = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
